@@ -196,7 +196,7 @@ impl PartySessionSpec {
             }
         };
         let fixed_point = FixedPointCodec::new(r.get_f64()?)?;
-        let weights = WeightVector::new(r.get_f64_vec()?)?;
+        let weights = WeightVector::from_normalised(r.get_f64_vec()?)?;
         let num_clusters = r.get_u32()? as usize;
         let linkage = parse_linkage(&r.get_str()?)?;
         let chunk = r.get_u64()?;
@@ -1385,6 +1385,22 @@ mod tests {
             None
         );
         assert!(PartySessionSpec::decode(&[1, 2, 3]).is_err());
+
+        // Weights whose normalisation is not exact in f64 must arrive
+        // bit-for-bit as announced, not normalised a second time.
+        let skewed = PartySessionSpec {
+            request: ClusteringRequest {
+                weights: WeightVector::new(vec![4.0, 1.0, 1.0]).unwrap(),
+                ..whole.request.clone()
+            },
+            ..whole
+        };
+        let decoded = PartySessionSpec::decode(&skewed.encode()).unwrap();
+        let bits = |w: &WeightVector| w.weights().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&decoded.request.weights),
+            bits(&skewed.request.weights)
+        );
     }
 
     #[test]

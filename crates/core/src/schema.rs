@@ -166,6 +166,25 @@ impl WeightVector {
     /// Builds a weight vector; weights must be non-negative, not all zero,
     /// and are normalised to sum to 1.
     pub fn new(weights: Vec<f64>) -> Result<Self, CoreError> {
+        let sum = Self::checked_sum(&weights)?;
+        Ok(WeightVector {
+            weights: weights.into_iter().map(|w| w / sum).collect(),
+        })
+    }
+
+    /// Rebuilds a vector that was normalised by [`WeightVector::new`] on
+    /// another party (e.g. decoded from a session announcement): the same
+    /// validation, but the weights are kept bit-for-bit. Dividing by their
+    /// sum again is not exact in `f64` and would make the receiver merge
+    /// with slightly different weights than the announcer.
+    pub(crate) fn from_normalised(weights: Vec<f64>) -> Result<Self, CoreError> {
+        Self::checked_sum(&weights)?;
+        Ok(WeightVector { weights })
+    }
+
+    /// Validates raw weights (non-empty, finite, non-negative, positive
+    /// sum) and returns their sum.
+    fn checked_sum(weights: &[f64]) -> Result<f64, CoreError> {
         if weights.is_empty() {
             return Err(CoreError::InvalidWeights("empty weight vector".into()));
         }
@@ -178,9 +197,7 @@ impl WeightVector {
         if sum <= 0.0 {
             return Err(CoreError::InvalidWeights("weights sum to zero".into()));
         }
-        Ok(WeightVector {
-            weights: weights.into_iter().map(|w| w / sum).collect(),
-        })
+        Ok(sum)
     }
 
     /// Uniform weights over `n` attributes.

@@ -23,6 +23,9 @@
 //!   replay window), connect/accept with [`socket::Backoff`], and a
 //!   standalone store-and-forward frame router for loopback and
 //!   hub-and-spoke deployments.
+//! * [`delivery`] — the socket tier's local inbox (per-party queues and
+//!   failure slots behind one lock, one condvar for parked receivers) and
+//!   the [`delivery::BufferPool`] that recycles decode/unseal scratch.
 //! * [`secure`] — the channel-security tier: per-party-pair AEAD sealing
 //!   (ChaCha20-Poly1305 from `ppc-crypto`) that
 //!   [`socket::SocketTransport::set_security`] installs so frames travel
@@ -68,7 +71,7 @@ pub use control::{
     CTL_PREFIX, TOPIC_ANNOUNCE, TOPIC_DONE, TOPIC_READY,
 };
 pub use cost::CostModel;
-pub use delivery::{BufferPool, DeliveryMode};
+pub use delivery::BufferPool;
 pub use eavesdrop::Eavesdropper;
 pub use error::NetError;
 pub use framed::{encode_frame, memory_duplex, FrameDecoder, MemoryDuplex, StreamTransport};
@@ -86,17 +89,3 @@ pub use socket::{
 #[cfg(unix)]
 pub use socket::{UdsAcceptor, UdsRouter, UdsTransport};
 pub use transport::{Endpoint, Instrumented, Network, Transport, WaitTransport};
-
-/// Pins the calling thread to CPU `core % available_parallelism()`.
-///
-/// Returns whether an affinity mask was actually applied: true only on
-/// Linux (via `sched_setaffinity` in the vendored `polling` shim) when
-/// the syscall succeeds; a no-op `false` elsewhere. Used by
-/// `ShardedEngine`'s `--pin-shards` mode so shard workers stop migrating
-/// off the core whose cache holds their inbox shard.
-pub fn pin_thread_to_core(core: usize) -> bool {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    polling::pin_current_thread(core % cores).unwrap_or(false)
-}

@@ -96,6 +96,12 @@ impl Registration {
         Ok(())
     }
 
+    /// The interest set currently armed.
+    #[cfg(test)]
+    pub(crate) fn interest(&self) -> Interest {
+        *self.interest.lock()
+    }
+
     /// Removes the fd from the poller and the source from dispatch.
     ///
     /// Idempotent; safe to call with the fd already shut down (delete

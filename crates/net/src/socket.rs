@@ -63,7 +63,7 @@ use parking_lot::Mutex;
 use polling::Interest;
 
 use crate::codec::{WireReader, WireWriter};
-use crate::delivery::{BufferPool, DeliveryMode, FailureScope, Inbox};
+use crate::delivery::{BufferPool, FailureScope, Inbox};
 use crate::error::NetError;
 use crate::framed::{encode_frame, get_party, put_party, FrameDecoder, MAX_FRAME_BODY};
 use crate::message::Envelope;
@@ -838,10 +838,8 @@ enum RedialTarget {
 /// A [`Transport`] over real sockets, one framed stream per peer link.
 ///
 /// Every link's reader half runs on its own thread doing blocking reads;
-/// decoded envelopes are queued through the delivery seam
-/// (`crate::delivery::Inbox`) — per-party lock-free queues with wake
-/// tokens by default, or the retained global mutex inbox as the oracle
-/// (see [`DeliveryMode`]) — so [`receive_any_of`] parks idle workers
+/// decoded envelopes are queued in the transport's inbox
+/// (`crate::delivery::Inbox`), so [`receive_any_of`] parks idle workers
 /// without polling. Sends route by `envelope.to`: a link whose peer
 /// announced the party wins, then a gateway (router) link, then — for
 /// parties this endpoint hosts itself — the local inbox.
@@ -855,7 +853,7 @@ pub struct SocketTransport<S: SocketStream> {
     /// This endpoint's unique id, announced in every hello.
     endpoint: u64,
     locals: BTreeSet<PartyId>,
-    /// The delivery seam: per-party sharded queues or the mutex oracle.
+    /// Per-party queues and failure slots of the hosted parties.
     delivery: Inbox,
     /// Recycled scratch buffers for the decode/unseal hot path.
     pool: Arc<BufferPool>,
@@ -905,25 +903,13 @@ impl<S: SocketStream> SocketTransport<S> {
         Self::new_with_backend(locals, TransportBackend::default_for_host())
     }
 
-    /// Creates a transport hosting `locals` on an explicit I/O backend,
-    /// with the delivery strategy taken from [`DeliveryMode::from_env`].
+    /// Creates a transport hosting `locals` on an explicit I/O backend.
     pub fn new_with_backend(
         locals: impl IntoIterator<Item = PartyId>,
         backend: TransportBackend,
     ) -> Self {
-        Self::new_with_delivery(locals, backend, DeliveryMode::from_env())
-    }
-
-    /// Creates a transport with both the I/O backend and the delivery
-    /// strategy chosen explicitly (benches and oracle tests; everything
-    /// else goes through the env-driven defaults).
-    pub fn new_with_delivery(
-        locals: impl IntoIterator<Item = PartyId>,
-        backend: TransportBackend,
-        delivery: DeliveryMode,
-    ) -> Self {
         let locals: BTreeSet<PartyId> = locals.into_iter().collect();
-        let delivery = Inbox::new(delivery, &locals);
+        let delivery = Inbox::new(&locals);
         SocketTransport {
             endpoint: endpoint_nonce(),
             locals,
@@ -958,14 +944,9 @@ impl<S: SocketStream> SocketTransport<S> {
         }
     }
 
-    /// The delivery strategy inbound frames are queued with.
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        self.delivery.mode()
-    }
-
-    /// Delivery-path recycling and wake statistics: buffer-pool and
-    /// queue-node hit rates plus batched-wake counters. Steady state is
-    /// all hits — the delivery machinery allocates nothing per frame.
+    /// Delivery-path recycling and wake statistics: buffer-pool hit rate
+    /// plus batched-wake counters. Steady state is all hits — the
+    /// delivery machinery allocates nothing per frame.
     pub fn delivery_stats(&self) -> DeliveryStats {
         let mut stats = DeliveryStats::default();
         let (pool_hits, pool_misses) = self.pool.stats();
@@ -1123,7 +1104,7 @@ impl<S: SocketStream> SocketTransport<S> {
     }
 
     /// The ingest half of a new link stream, wired into this transport's
-    /// delivery seam, buffer pool and security state.
+    /// inbox, buffer pool and security state.
     fn link_ingest(
         &self,
         retired: &Arc<AtomicBool>,
@@ -1135,7 +1116,7 @@ impl<S: SocketStream> SocketTransport<S> {
             delivery: self.delivery.clone(),
             pool: Arc::clone(&self.pool),
             opened: Vec::new(),
-            touched: Vec::new(),
+            pushed: false,
             shutting_down: Arc::clone(&self.shutting_down),
             retired: Arc::clone(retired),
             received: Arc::clone(received),
@@ -1618,8 +1599,9 @@ struct LinkIngest {
     pool: Arc<BufferPool>,
     /// Reusable scratch for one record's unsealed inner envelopes.
     opened: Vec<Envelope>,
-    /// Receivers touched since the last wake (one wake per read chunk).
-    touched: Vec<PartyId>,
+    /// Whether anything was queued since the last wake (one wake per
+    /// read chunk).
+    pushed: bool,
     shutting_down: Arc<AtomicBool>,
     retired: Arc<AtomicBool>,
     received: Arc<AtomicU64>,
@@ -1640,6 +1622,14 @@ impl LinkIngest {
             .fail(FailureScope::Party(party), error, &self.retired);
     }
 
+    /// Wakes parked receivers once for everything queued since the last
+    /// wake.
+    fn wake(&mut self) {
+        if std::mem::take(&mut self.pushed) {
+            self.delivery.wake();
+        }
+    }
+
     /// Whether stream-level failures should be suppressed: the transport
     /// is shutting down, or this stream's driver was retired by a resume.
     fn silenced(&self) -> bool {
@@ -1654,7 +1644,7 @@ impl LinkIngest {
     /// never be retried around. The driver must stop reading the stream.
     ///
     /// Delivery is batched: every frame in the chunk is queued first,
-    /// then each touched party is signalled once (`Inbox::wake`). The
+    /// then parked receivers are woken once (`Inbox::wake`). The
     /// scratch allocations — frame body, unsealed plaintext, the consumed
     /// sealed payload — cycle through the transport's [`BufferPool`].
     fn on_bytes(&mut self, bytes: &[u8]) -> bool {
@@ -1681,7 +1671,7 @@ impl LinkIngest {
                                     // party the record was addressed to;
                                     // other parties' links are intact.
                                     self.fail_party(envelope.to, e);
-                                    self.delivery.wake(&mut self.touched);
+                                    self.wake();
                                     return false;
                                 }
                             }
@@ -1693,12 +1683,13 @@ impl LinkIngest {
                                 envelope.from
                             );
                             self.fail_party(envelope.to, NetError::AuthFailure { detail });
-                            self.delivery.wake(&mut self.touched);
+                            self.wake();
                             return false;
                         }
                         None => self.opened.push(envelope),
                     }
-                    self.delivery.push_all(&mut self.opened, &mut self.touched);
+                    self.pushed |= !self.opened.is_empty();
+                    self.delivery.push_all(&mut self.opened);
                     // The resume handshake counts *wire frames* (the unit
                     // the replay window retransmits), so a coalesced
                     // record still counts once.
@@ -1707,12 +1698,12 @@ impl LinkIngest {
                 Ok(None) => break,
                 Err(e) => {
                     self.fail(e);
-                    self.delivery.wake(&mut self.touched);
+                    self.wake();
                     return false;
                 }
             }
         }
-        self.delivery.wake(&mut self.touched);
+        self.wake();
         true
     }
 
@@ -2106,9 +2097,9 @@ impl<S: SocketStream + Redial> Transport for SocketTransport<S> {
 }
 
 impl<S: SocketStream + Redial> WaitTransport for SocketTransport<S> {
-    /// Parks until a frame for one of `receivers` arrives: on the sharded
-    /// path each waiter registers a wake token with exactly the slots it
-    /// polls; on the mutex oracle it parks on the single inbox condvar.
+    /// Parks on the inbox condvar until a frame for one of `receivers`
+    /// arrives, a failure concerning one of them surfaces, or `timeout`
+    /// elapses.
     fn receive_any_of(
         &self,
         receivers: &[PartyId],
@@ -2903,9 +2894,10 @@ fn router_forward<S: SocketStream>(
             // Flow control: the destination is congested but healthy.
             // Disarm the origin connection's read interest so it stops
             // producing forwards — the reactor-path analogue of the
-            // blocking backend's inline `write_all` backpressure. The
-            // destination's writable handler re-arms the origin once the
-            // outbox drains below [`ROUTER_OUTBOX_RESUME`].
+            // blocking backend's inline `write_all` backpressure. Whichever
+            // drain takes the outbox below [`ROUTER_OUTBOX_RESUME`] (the
+            // writable handler or a later forward's inline drain) re-arms
+            // the origin.
             if let Some(conn) = origin_conn {
                 if let Some(registration) = conn.registration.get() {
                     if !conn.paused.swap(true, Ordering::SeqCst) {
@@ -2917,6 +2909,12 @@ fn router_forward<S: SocketStream>(
                     }
                 }
             }
+        } else if out.outbox.len() < ROUTER_OUTBOX_RESUME {
+            // The inline drain above can empty the outbox and disarm write
+            // interest, in which case the writable handler never runs:
+            // resume here too, or an origin paused into this outbox stays
+            // deaf for good.
+            resume_paused_origins(out);
         }
     }
 }
@@ -3334,11 +3332,18 @@ mod tests {
         rogue.write_all(&u32::MAX.to_le_bytes()).unwrap();
         rogue.flush().unwrap();
 
-        // The rogue connection gets pruned from the routing table.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while router.connection_count() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // The rogue connection gets closed and pruned from the routing
+        // table. Wait for the close itself: polling the count alone can
+        // pass before the router has even installed the connection.
+        rogue
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = [0u8; 1];
+        let closed = match rogue.read(&mut rest) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "router closes the corrupt connection");
         assert_eq!(router.connection_count(), 0, "corrupt connection pruned");
 
         // A well-behaved transport still gets full service afterwards.
@@ -3389,6 +3394,104 @@ mod tests {
             )),
             Err(NetError::UnknownParty(PartyId::ThirdParty))
         ));
+    }
+
+    /// A reactor source that ignores readiness: the test below drives
+    /// the router by hand.
+    #[cfg(unix)]
+    struct IdleSource;
+
+    #[cfg(unix)]
+    impl Source for IdleSource {
+        fn on_ready(&self, _readable: bool, _writable: bool) {}
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn inline_drain_resumes_origins_paused_into_the_outbox() {
+        use std::os::unix::net::UnixStream;
+
+        let state = Arc::new(RouterState::<UnixStream>::new(TransportBackend::Reactor));
+        let new_link = |party, stream: Option<UnixStream>| {
+            Arc::new(RouterLink {
+                endpoint: endpoint_nonce(),
+                parties: [party].into_iter().collect(),
+                received: AtomicU64::new(0),
+                out: Mutex::new(RouterOutbound {
+                    replay: ReplayWindow::new(DEFAULT_REPLAY_FRAMES, DEFAULT_REPLAY_BYTES),
+                    stream,
+                    generation: 1,
+                    outbox: Outbox::default(),
+                    registration: None,
+                    paused_origins: Vec::new(),
+                }),
+                pumps: AtomicU64::new(0),
+                source: Mutex::new(None),
+            })
+        };
+        let (origin_read, _origin_peer) = UnixStream::pair().unwrap();
+        let (dest_write, _dest_peer) = UnixStream::pair().unwrap();
+        dest_write.set_nonblocking(true).unwrap();
+        let origin = new_link(PartyId::DataHolder(0), None);
+        let dest = new_link(PartyId::DataHolder(1), Some(dest_write));
+        state
+            .links
+            .lock()
+            .extend([Arc::clone(&origin), Arc::clone(&dest)]);
+
+        let fd = origin_read.stream_raw_fd().unwrap();
+        let conn = RouterConnSource {
+            read: Mutex::new(RouterRead {
+                stream: origin_read,
+                decoder: FrameDecoder::new(),
+                done: false,
+            }),
+            link: Arc::clone(&origin),
+            state: Arc::clone(&state),
+            retired: AtomicBool::new(false),
+            paused: Arc::new(AtomicBool::new(false)),
+            generation: 1,
+            registration: OnceLock::new(),
+        };
+        let registration = Reactor::global()
+            .unwrap()
+            .register(fd, Interest::READ, Arc::new(IdleSource))
+            .unwrap();
+        let _ = conn.registration.set(Arc::clone(&registration));
+
+        // An earlier forward congested the destination and paused the
+        // origin; some of its bytes are still queued in the outbox.
+        conn.paused.store(true, Ordering::SeqCst);
+        registration.set_readable(false).unwrap();
+        {
+            let mut out = dest.out.lock();
+            out.outbox.push(&[0u8; 4096]);
+            out.paused_origins.push(PausedOrigin {
+                paused: Arc::clone(&conn.paused),
+                registration: Arc::clone(&registration),
+            });
+        }
+
+        // This forward's inline drain empties the outbox, so the writable
+        // handler has nothing left to do and will not run.
+        let frame = envelope(
+            PartyId::DataHolder(0),
+            PartyId::DataHolder(1),
+            "t",
+            vec![7; 64],
+        );
+        router_forward(&state, &origin, frame, Some(&conn));
+        assert!(dest.out.lock().outbox.is_empty());
+        assert!(
+            !conn.paused.load(Ordering::SeqCst),
+            "the origin must be resumed by the drain that emptied the outbox"
+        );
+        assert!(
+            registration.interest().readable,
+            "the origin's read interest must be re-armed"
+        );
+        assert!(dest.out.lock().paused_origins.is_empty());
+        registration.deregister();
     }
 
     #[test]
