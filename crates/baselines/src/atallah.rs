@@ -121,12 +121,15 @@ mod tests {
 
     /// The comparison the paper makes: for realistic string batches the
     /// Atallah protocol costs orders of magnitude more traffic than the
-    /// masking-based CCM protocol (whose cost per pair is ~4 bytes per CCM
+    /// masking-based CCM protocol (whose cost per pair is 1 byte per CCM
     /// cell rather than kilobytes of ciphertext).
     #[test]
     fn atallah_is_far_more_expensive_than_ccm_shipping() {
         let model = AtallahCostModel::default();
-        let ccm_bytes_per_pair = |s: u64, t: u64| s * t * 4 + 16;
+        // One CCM on the wire (`docs/WIRE_FORMAT.md` §6.6): two dimensions
+        // and a cell count as `u32`s, then one byte per cell for any
+        // alphabet of up to 256 symbols.
+        let ccm_bytes_per_pair = |s: u64, t: u64| 12 + s * t;
         let s = 32u64;
         let t = 32u64;
         let ratio =

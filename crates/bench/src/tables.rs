@@ -269,7 +269,7 @@ pub fn e5_alphanumeric_costs() -> Result<ExperimentReport, CoreError> {
     writeln!(body).unwrap();
     writeln!(
         body,
-        "paper: DH_J O(n^2 + n*p), DH_K O(m^2 + m*q*n*p); the CCM bundle (4 bytes/cell)"
+        "paper: DH_J O(n^2 + n*p), DH_K O(m^2 + m*q*n*p); the CCM bundle (1 byte/cell)"
     )
     .unwrap();
     writeln!(
@@ -279,7 +279,7 @@ pub fn e5_alphanumeric_costs() -> Result<ExperimentReport, CoreError> {
     .unwrap();
     writeln!(
         body,
-        "DP cell (2048-bit modulus), hence the 2-3 orders of magnitude overhead column —"
+        "DP cell (2048-bit modulus), hence the ~3 orders of magnitude overhead column —"
     )
     .unwrap();
     writeln!(

@@ -3,11 +3,14 @@
 //! Every inter-party transfer of the networked session is one of these typed
 //! messages, serialised with the compact binary codec of `ppc-net` so the
 //! measured byte counts reflect the element counts in the paper's
-//! communication-cost analysis (8 bytes per masked numeric value, 4 bytes
-//! per masked character or CCM cell, 16 bytes per categorical ciphertext,
-//! 8 bytes per local-matrix entry).
+//! communication-cost analysis (8 bytes per masked numeric value, 16 bytes
+//! per categorical ciphertext, 8 bytes per local-matrix entry). Masked
+//! characters and CCM cells are alphabet symbols in `[0, |A|)`: each
+//! message carrying them ships every symbol at one `cell_width` — the
+//! narrowest of 1, 2 or 4 bytes that holds its largest symbol — so any
+//! alphabet of up to 256 symbols costs 1 byte per character or cell.
 
-use ppc_net::{WireReader, WireWriter};
+use ppc_net::{narrowest_width, WireReader, WireWriter};
 
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
@@ -31,6 +34,60 @@ fn check_count(
         )));
     }
     Ok(())
+}
+
+/// The `cell_width` of a message: the narrowest width that holds every
+/// symbol of `runs`.
+fn cell_width<'a>(runs: impl IntoIterator<Item = &'a [u32]>) -> u8 {
+    let max = runs.into_iter().flatten().copied().max().unwrap_or(0);
+    narrowest_width(max)
+}
+
+/// The `cell_width` of a run of CCMs and the bytes their cells take at it.
+fn ccm_cell_layout(ccms: &[MaskedCcm]) -> (u8, usize) {
+    let width = cell_width(ccms.iter().map(|c| c.cells.as_slice()));
+    let cells: usize = ccms.iter().map(|c| c.cells.len()).sum();
+    (width, cells * width as usize)
+}
+
+/// Writes `ccm_count`, `cell_width` and the matrices (§6.6 of the wire
+/// spec), shared by [`CcmBundleMsg`] and [`CcmChunkMsg`].
+fn put_ccms(w: &mut WireWriter, ccms: &[MaskedCcm], width: u8) {
+    w.put_u32(ccms.len() as u32).put_u8(width);
+    for ccm in ccms {
+        w.put_u32(ccm.responder_len as u32)
+            .put_u32(ccm.initiator_len as u32)
+            .put_u32_slice_at_width(&ccm.cells, width);
+    }
+}
+
+/// Reads what [`put_ccms`] writes. Every matrix must carry exactly
+/// `responder_len × initiator_len` cells, so a dimension the payload does
+/// not back is rejected — unless the other dimension is zero (the CCM of
+/// an empty string).
+fn get_ccms(r: &mut WireReader<'_>) -> Result<Vec<MaskedCcm>, CoreError> {
+    let ccm_count = r.get_u32()? as usize;
+    let width = r.get_width()?;
+    // Each CCM needs at least two u32 headers and a length prefix.
+    check_count(ccm_count, 12, r)?;
+    let mut ccms = Vec::with_capacity(ccm_count);
+    for _ in 0..ccm_count {
+        let responder_len = r.get_u32()? as usize;
+        let initiator_len = r.get_u32()? as usize;
+        let cells = r.get_u32_vec_at_width(width)?;
+        if responder_len.checked_mul(initiator_len) != Some(cells.len()) {
+            return Err(CoreError::Protocol(format!(
+                "a {responder_len}×{initiator_len} CCM carries {} cells",
+                cells.len()
+            )));
+        }
+        ccms.push(MaskedCcm {
+            responder_len,
+            initiator_len,
+            cells,
+        });
+    }
+    Ok(ccms)
 }
 
 /// A data holder's local dissimilarity matrix for one attribute (Figure 12
@@ -248,19 +305,16 @@ impl CcmChunkMsg {
 
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let cells: usize = self.ccms.iter().map(|c| c.cells.len()).sum();
-        let mut w = WireWriter::with_capacity(36 + self.ccms.len() * 12 + cells * 4);
+        let (width, cell_bytes) = ccm_cell_layout(&self.ccms);
+        let mut w = WireWriter::with_capacity(
+            25 + self.attribute.len() + self.ccms.len() * 12 + cell_bytes,
+        );
         w.put_str(&self.attribute)
             .put_u32(self.start_row)
             .put_u32(self.rows)
             .put_u32(self.total_rows)
-            .put_u32(self.initiator_count)
-            .put_u32(self.ccms.len() as u32);
-        for ccm in &self.ccms {
-            w.put_u32(ccm.responder_len as u32)
-                .put_u32(ccm.initiator_len as u32);
-            w.put_u32_slice(&ccm.cells);
-        }
+            .put_u32(self.initiator_count);
+        put_ccms(&mut w, &self.ccms, width);
         w.finish()
     }
 
@@ -272,20 +326,7 @@ impl CcmChunkMsg {
         let rows = r.get_u32()?;
         let total_rows = r.get_u32()?;
         let initiator_count = r.get_u32()?;
-        let ccm_count = r.get_u32()? as usize;
-        // Each CCM needs at least two u32 headers and a length prefix.
-        check_count(ccm_count, 12, &r)?;
-        let mut ccms = Vec::with_capacity(ccm_count);
-        for _ in 0..ccm_count {
-            let responder_len = r.get_u32()? as usize;
-            let initiator_len = r.get_u32()? as usize;
-            let cells = r.get_u32_vec()?;
-            ccms.push(MaskedCcm {
-                responder_len,
-                initiator_len,
-                cells,
-            });
-        }
+        let ccms = get_ccms(&mut r)?;
         r.expect_end()?;
         if ccms.len() != rows as usize * initiator_count as usize {
             return Err(CoreError::Protocol(format!(
@@ -322,11 +363,16 @@ pub struct MaskedStringsMsg {
 impl MaskedStringsMsg {
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let width = cell_width(self.strings.iter().map(Vec::as_slice));
+        let symbols: usize = self.strings.iter().map(Vec::len).sum();
+        let mut w = WireWriter::with_capacity(
+            9 + self.attribute.len() + self.strings.len() * 4 + symbols * width as usize,
+        );
         w.put_str(&self.attribute)
-            .put_u32(self.strings.len() as u32);
+            .put_u32(self.strings.len() as u32)
+            .put_u8(width);
         for s in &self.strings {
-            w.put_u32_slice(s);
+            w.put_u32_slice_at_width(s, width);
         }
         w.finish()
     }
@@ -336,10 +382,11 @@ impl MaskedStringsMsg {
         let mut r = WireReader::new(payload);
         let attribute = r.get_str()?;
         let count = r.get_u32()? as usize;
+        let width = r.get_width()?;
         check_count(count, 4, &r)?;
         let mut strings = Vec::with_capacity(count);
         for _ in 0..count {
-            strings.push(r.get_u32_vec()?);
+            strings.push(r.get_u32_vec_at_width(width)?);
         }
         r.expect_end()?;
         Ok(MaskedStringsMsg { attribute, strings })
@@ -359,17 +406,14 @@ pub struct CcmBundleMsg {
 impl CcmBundleMsg {
     /// Serialises the message.
     pub fn encode(&self) -> Vec<u8> {
-        let cells: usize = self.bundle.ccms.iter().map(|c| c.cells.len()).sum();
-        let mut w = WireWriter::with_capacity(32 + self.bundle.ccms.len() * 12 + cells * 4);
+        let (width, cell_bytes) = ccm_cell_layout(&self.bundle.ccms);
+        let mut w = WireWriter::with_capacity(
+            17 + self.attribute.len() + self.bundle.ccms.len() * 12 + cell_bytes,
+        );
         w.put_str(&self.attribute)
             .put_u32(self.bundle.responder_count as u32)
-            .put_u32(self.bundle.initiator_count as u32)
-            .put_u32(self.bundle.ccms.len() as u32);
-        for ccm in &self.bundle.ccms {
-            w.put_u32(ccm.responder_len as u32)
-                .put_u32(ccm.initiator_len as u32);
-            w.put_u32_slice(&ccm.cells);
-        }
+            .put_u32(self.bundle.initiator_count as u32);
+        put_ccms(&mut w, &self.bundle.ccms, width);
         w.finish()
     }
 
@@ -379,21 +423,14 @@ impl CcmBundleMsg {
         let attribute = r.get_str()?;
         let responder_count = r.get_u32()? as usize;
         let initiator_count = r.get_u32()? as usize;
-        let ccm_count = r.get_u32()? as usize;
-        // Each CCM needs at least two u32 headers and a length prefix.
-        check_count(ccm_count, 12, &r)?;
-        let mut ccms = Vec::with_capacity(ccm_count);
-        for _ in 0..ccm_count {
-            let responder_len = r.get_u32()? as usize;
-            let initiator_len = r.get_u32()? as usize;
-            let cells = r.get_u32_vec()?;
-            ccms.push(MaskedCcm {
-                responder_len,
-                initiator_len,
-                cells,
-            });
-        }
+        let ccms = get_ccms(&mut r)?;
         r.expect_end()?;
+        if responder_count.checked_mul(initiator_count) != Some(ccms.len()) {
+            return Err(CoreError::Protocol(format!(
+                "CCM bundle carries {} matrices for {responder_count}×{initiator_count} objects",
+                ccms.len()
+            )));
+        }
         Ok(CcmBundleMsg {
             attribute,
             bundle: MaskedCcmBundle {

@@ -99,12 +99,25 @@ impl WireWriter {
         self
     }
 
-    /// Appends a length-prefixed vector of `u32` (bulk-reserved).
-    pub fn put_u32_slice(&mut self, v: &[u32]) -> &mut Self {
-        self.buf.reserve(4 + v.len() * 4);
+    /// Appends a length-prefixed vector of `u32` with each element in its
+    /// low `width` bytes, little endian (`width` ∈ {1, 2, 4}; the count
+    /// prefix stays a full `u32`).
+    ///
+    /// The caller picks a width that holds every element — normally
+    /// [`narrowest_width`] of the slice's maximum — so the encoding is
+    /// lossless. Elements are staged through a stack buffer so each run of
+    /// up to 1 KiB is one append.
+    ///
+    /// # Panics
+    /// On a `width` outside {1, 2, 4}.
+    pub fn put_u32_slice_at_width(&mut self, v: &[u32], width: u8) -> &mut Self {
+        self.buf.reserve(4 + v.len() * width as usize);
         self.buf.put_u32_le(v.len() as u32);
-        for &x in v {
-            self.buf.put_u32_le(x);
+        match width {
+            1 => put_narrow::<1>(&mut self.buf, v),
+            2 => put_narrow::<2>(&mut self.buf, v),
+            4 => put_narrow::<4>(&mut self.buf, v),
+            other => panic!("unsupported element width {other}"),
         }
         self
     }
@@ -132,6 +145,38 @@ impl WireWriter {
     /// Finalises the payload, handing the buffer over without copying.
     pub fn finish(self) -> Vec<u8> {
         self.buf.into()
+    }
+}
+
+/// The narrowest element width in bytes — 1, 2 or 4 — that holds `max`.
+pub fn narrowest_width(max: u32) -> u8 {
+    if max <= u32::from(u8::MAX) {
+        1
+    } else if max <= u32::from(u16::MAX) {
+        2
+    } else {
+        4
+    }
+}
+
+fn check_width(width: u8) -> Result<(), NetError> {
+    if matches!(width, 1 | 2 | 4) {
+        Ok(())
+    } else {
+        Err(NetError::Decode(format!(
+            "element width {width} is not 1, 2 or 4"
+        )))
+    }
+}
+
+/// Writes the low `W` bytes of every element of `v`.
+fn put_narrow<const W: usize>(buf: &mut BytesMut, v: &[u32]) {
+    let mut staged = [0u8; 1024];
+    for run in v.chunks(staged.len() / W) {
+        for (dst, &x) in staged.chunks_exact_mut(W).zip(run) {
+            dst.copy_from_slice(&x.to_le_bytes()[..W]);
+        }
+        buf.put_slice(&staged[..run.len() * W]);
     }
 }
 
@@ -244,15 +289,34 @@ impl<'a> WireReader<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed vector of `u32` (bulk-decoded).
-    pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, NetError> {
+    /// Reads an element width byte, rejecting anything but 1, 2 or 4.
+    pub fn get_width(&mut self) -> Result<u8, NetError> {
+        let width = self.get_u8()?;
+        check_width(width)?;
+        Ok(width)
+    }
+
+    /// Reads a length-prefixed vector written by
+    /// [`WireWriter::put_u32_slice_at_width`], widening every element back
+    /// to a `u32`. A `width` outside {1, 2, 4} is an error, and the declared
+    /// count is checked against the remaining bytes before any allocation.
+    pub fn get_u32_vec_at_width(&mut self, width: u8) -> Result<Vec<u32>, NetError> {
+        check_width(width)?;
         let len = self.get_u32()? as usize;
-        let bytes = len.saturating_mul(4);
+        let bytes = len.saturating_mul(width as usize);
         self.need(bytes)?;
-        let out = self.buf[..bytes]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect();
+        let raw = &self.buf[..bytes];
+        let out = match width {
+            1 => raw.iter().map(|&b| u32::from(b)).collect(),
+            2 => raw
+                .chunks_exact(2)
+                .map(|c| u32::from(u16::from_le_bytes([c[0], c[1]])))
+                .collect(),
+            _ => raw
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect(),
+        };
         self.buf.advance(bytes);
         Ok(out)
     }
@@ -303,7 +367,7 @@ mod tests {
             .put_str("edit-distance")
             .put_u64_slice(&[1, 2, 3])
             .put_i64_slice(&[-1, 0, 1])
-            .put_u32_slice(&[9, 8])
+            .put_u32_slice_at_width(&[9, 8], 4)
             .put_f64_slice(&[0.25, 0.5]);
         let payload = w.finish();
         let mut r = WireReader::new(&payload);
@@ -315,7 +379,7 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "edit-distance");
         assert_eq!(r.get_u64_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_i64_vec().unwrap(), vec![-1, 0, 1]);
-        assert_eq!(r.get_u32_vec().unwrap(), vec![9, 8]);
+        assert_eq!(r.get_u32_vec_at_width(4).unwrap(), vec![9, 8]);
         assert_eq!(r.get_f64_vec().unwrap(), vec![0.25, 0.5]);
         assert!(r.expect_end().is_ok());
     }
@@ -359,6 +423,58 @@ mod tests {
         let mut r = WireReader::new(&payload);
         r.get_u8().unwrap();
         assert!(r.expect_end().is_err());
+    }
+
+    #[test]
+    fn narrow_u32_vectors_roundtrip_at_every_width() {
+        assert_eq!(narrowest_width(0), 1);
+        assert_eq!(narrowest_width(255), 1);
+        assert_eq!(narrowest_width(256), 2);
+        assert_eq!(narrowest_width(65_535), 2);
+        assert_eq!(narrowest_width(65_536), 4);
+        assert_eq!(narrowest_width(u32::MAX), 4);
+        // Longer than one staging run at every width.
+        let values: Vec<u32> = (0..3000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        for width in [1u8, 2, 4] {
+            let max = match width {
+                1 => 0xff,
+                2 => 0xffff,
+                _ => u32::MAX,
+            };
+            let v: Vec<u32> = values.iter().map(|&x| x & max).collect();
+            let mut w = WireWriter::new();
+            w.put_u32_slice_at_width(&v, width).put_u8(9);
+            let payload = w.finish();
+            assert_eq!(payload.len(), 4 + v.len() * width as usize + 1);
+            let mut r = WireReader::new(&payload);
+            assert_eq!(r.get_u32_vec_at_width(width).unwrap(), v);
+            assert_eq!(r.get_u8().unwrap(), 9);
+            r.expect_end().unwrap();
+        }
+    }
+
+    #[test]
+    fn narrow_u32_vectors_reject_bad_widths_and_inflated_counts() {
+        let mut w = WireWriter::new();
+        w.put_u32_slice_at_width(&[1, 2, 3], 1);
+        let payload = w.finish();
+        for width in [0u8, 3, 5, 8, 255] {
+            assert!(WireReader::new(&payload)
+                .get_u32_vec_at_width(width)
+                .is_err());
+            assert!(WireReader::new(&[width]).get_width().is_err());
+        }
+        for width in [1u8, 2, 4] {
+            assert_eq!(WireReader::new(&[width]).get_width().unwrap(), width);
+        }
+        // Three 1-byte elements do not hold three 2-byte ones.
+        assert!(WireReader::new(&payload).get_u32_vec_at_width(2).is_err());
+        let mut w = WireWriter::new();
+        w.put_u32(u32::MAX);
+        let payload = w.finish();
+        assert!(WireReader::new(&payload).get_u32_vec_at_width(4).is_err());
     }
 
     #[test]

@@ -88,8 +88,11 @@ pub const HELLO_MAGIC: [u8; 4] = *b"PPCH";
 /// payload a **coalesced record** (§8.2): the batch plaintext is
 /// count-prefixed, so one AEAD invocation covers N inner envelopes. A v3
 /// peer would misread the batch layout, so the exact-version handshake
-/// check rejects it explicitly — again, never a silent downgrade.
-pub const WIRE_VERSION: u8 = 4;
+/// check rejects it explicitly — again, never a silent downgrade. Version
+/// 5 ships alphabet symbols (masked strings and masked CCM cells, §§6.5–6.7)
+/// at a per-message `cell_width` of 1, 2 or 4 bytes instead of a fixed 4;
+/// a v4 peer would misread those payloads, so it is rejected at the hello.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Byte budget of buffered plaintext per link before a coalescing
 /// transport seals and writes a record without waiting for the next

@@ -494,6 +494,34 @@ fn downgrade_attempts_are_rejected() {
     sealed_tp.shutdown();
 }
 
+/// A peer one wire version behind (v4: 4-byte alphabet symbols in §6
+/// payloads) is refused at the hello, even with a current-layout hello.
+#[test]
+fn previous_wire_version_is_rejected_at_the_hello() {
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let addr = acceptor.local_addr().unwrap();
+    let tp = secured([PartyId::ThirdParty]);
+    let rogue = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut hello = Vec::new();
+        hello.extend_from_slice(b"PPCH");
+        hello.push(WIRE_VERSION - 1);
+        hello.push(1); // sealed
+        hello.extend_from_slice(&0xFEED_u64.to_le_bytes());
+        hello.push(1);
+        hello.push(0); // data-holder tag
+        hello.extend_from_slice(&0u32.to_le_bytes());
+        let _ = stream.write_all(&hello);
+        let mut sink = [0u8; 64];
+        let _ = stream.read(&mut sink);
+    });
+    let err = acceptor.accept_into(&tp).unwrap_err();
+    let expected = format!("version {}", WIRE_VERSION - 1);
+    assert!(err.to_string().contains(&expected), "{err}");
+    rogue.join().unwrap();
+    tp.shutdown();
+}
+
 /// A frame router (which holds no keys) forwards sealed traffic opaquely:
 /// two sealed endpoints interoperate through it, including the reflected
 /// self-route, and a plaintext endpoint on the same router cannot talk to

@@ -69,7 +69,34 @@ pub type Flags = BTreeMap<String, String>;
 /// Flags that take no value (presence flags).
 const BOOLEAN_FLAGS: &[&str] = &["insecure", "secure", "coalesce", "no-coalesce"];
 
-/// Parses `--key value` pairs (and bare boolean flags like `--insecure`).
+/// Flags that take one value. With [`BOOLEAN_FLAGS`], every flag any mode
+/// reads; anything else is rejected rather than guessed at, since a guess
+/// would swallow the argument after it.
+const VALUE_FLAGS: &[&str] = &[
+    "listen",
+    "connect",
+    "party",
+    "coordinator",
+    "remote",
+    "seed",
+    "schema",
+    "csv",
+    "sessions",
+    "manifest",
+    "clusters",
+    "linkage",
+    "chunk-rows",
+    "numeric-mode",
+    "psk",
+    "transport",
+    "stall-ms",
+    "stall-waits",
+    "ready-ms",
+    "ready-waits",
+];
+
+/// Parses `--key value` pairs (and bare boolean flags like `--insecure`),
+/// rejecting any key no mode reads.
 pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
@@ -79,10 +106,12 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
             .ok_or_else(|| format!("expected --flag, got '{key}'"))?;
         let value = if BOOLEAN_FLAGS.contains(&key) {
             "true".to_string()
-        } else {
+        } else if VALUE_FLAGS.contains(&key) {
             it.next()
                 .ok_or_else(|| format!("--{key} needs a value"))?
                 .clone()
+        } else {
+            return Err(format!("unknown flag --{key}\n{USAGE}"));
         };
         if flags.insert(key.to_string(), value).is_some() {
             return Err(format!("--{key} given twice"));
@@ -817,13 +846,37 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // The removed `--pin-shards` must not swallow `--insecure` and
+        // bring the process up sealed.
+        let err = parse_flags(&["--pin-shards".into(), "--insecure".into()]).unwrap_err();
+        assert!(err.starts_with("unknown flag --pin-shards"), "{err}");
+        let err = run(&["serve".into(), "--pin-shards".into(), "--insecure".into()]).unwrap_err();
+        assert!(err.to_string().contains("--pin-shards"), "{err}");
+        assert!(parse_flags(&["--a".into(), "1".into()]).is_err());
+        // Every flag the usage text names is accepted.
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            let key = word
+                .strip_prefix("--")
+                .filter(|k| !k.is_empty() && *k != "flag");
+            if let Some(key) = key {
+                assert!(
+                    BOOLEAN_FLAGS.contains(&key) || VALUE_FLAGS.contains(&key),
+                    "usage names --{key}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn flags_parse_and_reject_malformed_input() {
         let flags =
             parse_flags(&["--party".into(), "DH0".into(), "--seed".into(), "77".into()]).unwrap();
         assert_eq!(flags.get("party").unwrap(), "DH0");
         assert!(parse_flags(&["party".into()]).is_err());
         assert!(parse_flags(&["--party".into()]).is_err());
-        assert!(parse_flags(&["--a".into(), "1".into(), "--a".into(), "2".into()]).is_err());
+        let twice = parse_flags(&["--seed".into(), "1".into(), "--seed".into(), "2".into()]);
+        assert!(twice.unwrap_err().contains("given twice"));
     }
 
     #[test]

@@ -199,3 +199,115 @@ fn ground_truth_is_recovered_on_well_separated_data() {
         "expected near-perfect strain recovery, ARI {ari}"
     );
 }
+
+/// An alphabet of more than 256 symbols ships its masked strings and CCM
+/// cells at 2 bytes each (wire spec §§6.5–6.6), and the session still
+/// recovers the plaintext edit distances and matches the in-memory
+/// engine oracle bit for bit.
+#[test]
+fn wide_alphabet_session_ships_two_byte_symbols_and_matches_plaintext() {
+    use ppclust::core::alphabet::Alphabet;
+    use ppclust::core::distance::edit::edit_distance;
+    use ppclust::core::matrix::{DataMatrix, HorizontalPartition};
+    use ppclust::core::protocol::engine::{SessionEngine, SessionSpec};
+    use ppclust::core::protocol::topic::{AlphaKind, Step, Topic};
+    use ppclust::core::record::Record;
+    use ppclust::core::schema::{AttributeDescriptor, Schema};
+    use ppclust::core::value::AttributeValue;
+    use ppclust::net::{ChannelSecurity, Network, PartyId};
+
+    let glyph = |i: u32| char::from_u32(0x100 + i).unwrap();
+    let alphabet = Alphabet::new((0..300).map(glyph)).unwrap();
+    let schema = Schema::new(vec![AttributeDescriptor::alphanumeric("glyphs", alphabet)]).unwrap();
+    // Symbols from both ends of the alphabet, so plaintext indices alone
+    // already need two bytes.
+    let word = |symbols: &[u32]| -> String { symbols.iter().map(|&i| glyph(i)).collect() };
+    let sites: Vec<Vec<String>> = vec![
+        vec![word(&[299, 3, 280]), word(&[0, 1, 2, 3])],
+        vec![word(&[299, 3, 281, 7]), word(&[])],
+        vec![word(&[1, 2, 3]), word(&[260, 261, 262, 263, 264])],
+    ];
+    let partitions: Vec<HorizontalPartition> = sites
+        .iter()
+        .enumerate()
+        .map(|(site, strings)| {
+            let rows = strings
+                .iter()
+                .map(|s| Record::new(vec![AttributeValue::alphanumeric(s.as_str())]))
+                .collect();
+            HorizontalPartition::new(
+                site as u32,
+                DataMatrix::with_rows(schema.clone(), rows).unwrap(),
+            )
+        })
+        .collect();
+    let setup = TrustedSetup::deterministic(partitions, &Seed::from_u64(301)).unwrap();
+    let request = ClusteringRequest::uniform(&schema, 2);
+
+    let network = Network::with_parties(3);
+    let mut parties: Vec<PartyId> = (0..3).map(PartyId::DataHolder).collect();
+    parties.push(PartyId::ThirdParty);
+    for (i, &a) in parties.iter().enumerate() {
+        for &b in &parties[i + 1..] {
+            network.set_channel_security(a, b, ChannelSecurity::Plaintext);
+        }
+    }
+    let session =
+        ClusteringSession::with_network(schema.clone(), ProtocolConfig::default(), network);
+    let outcome = session
+        .run(&setup.holders, &setup.third_party, &request)
+        .unwrap();
+
+    // Every symbol payload declares 2-byte cells: the byte after the
+    // attribute name and the message's u32 counts.
+    let mut symbol_payloads = 0;
+    for envelope in session.network().eavesdropped() {
+        let counts = match Topic::parse(&envelope.topic).unwrap() {
+            Topic::Session {
+                step: Step::Alphanumeric { kind, .. },
+                ..
+            } => match kind {
+                AlphaKind::Masked => 1,
+                AlphaKind::Ccms => 3,
+                AlphaKind::CcmsChunk => 5,
+            },
+            _ => continue,
+        };
+        let width_at = 4 + "glyphs".len() + 4 * counts;
+        assert_eq!(envelope.payload[width_at], 2, "{}", envelope.topic);
+        symbol_payloads += 1;
+    }
+    assert_eq!(symbol_payloads, 6, "masked strings + CCMs per holder pair");
+
+    // The recovered per-attribute matrix is the plaintext edit distance.
+    let strings: Vec<&String> = sites.iter().flatten().collect();
+    let recovered = &outcome.per_attribute[0].matrix;
+    for i in 0..strings.len() {
+        for j in 0..i {
+            assert_eq!(
+                recovered.get(i, j),
+                f64::from(edit_distance(strings[i], strings[j])),
+                "pair ({i}, {j})"
+            );
+        }
+    }
+
+    // And the session equals the multiplexing engine oracle.
+    let mut engine = SessionEngine::new(Network::with_parties(3));
+    engine.add_session(SessionSpec {
+        schema,
+        config: ProtocolConfig::default(),
+        holders: setup.holders.clone(),
+        keys: setup.third_party.clone(),
+        request,
+        chunk_rows: Some(1),
+    });
+    let oracle = &engine.run().unwrap()[0];
+    assert_eq!(oracle.result.clusters, outcome.result.clusters);
+    let (a, b) = (
+        oracle.final_matrix.matrix().condensed_values(),
+        outcome.final_matrix.matrix().condensed_values(),
+    );
+    assert_eq!(a.len(), b.len());
+    assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+}

@@ -89,6 +89,12 @@ fn decode_golden_fixture(bytes: &[u8]) -> Vec<Envelope> {
     envelopes
 }
 
+fn read_fixture(name: &str) -> Vec<Envelope> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    decode_golden_fixture(&bytes)
+}
+
 /// The refactored, state-machine-driven session must emit **byte-identical
 /// envelopes in identical order** to the pre-refactor monolithic session,
 /// whose trace was captured into the committed fixture before the refactor.
@@ -97,14 +103,11 @@ fn decode_golden_fixture(bytes: &[u8]) -> Vec<Envelope> {
 /// normatively in `docs/WIRE_FORMAT.md`. If this test fails because of a
 /// *deliberate* wire change, re-capture the fixture, bump `WIRE_VERSION`
 /// in `ppc-net::socket`, and update `docs/WIRE_FORMAT.md` in the same PR.
+/// The wire-v5 re-capture (narrow alphabet symbols) kept the pre-refactor
+/// capture as `golden_trace_seed77_v4.bin`; the next test ties the two.
 #[test]
 fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
-    let fixture = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/golden_trace_seed77.bin"
-    ))
-    .expect("golden trace fixture present");
-    let golden = decode_golden_fixture(&fixture);
+    let golden = read_fixture("golden_trace_seed77.bin");
     assert_eq!(golden.len(), 27, "fixture shape");
 
     let setup = golden_setup();
@@ -123,6 +126,100 @@ fn session_trace_is_byte_identical_to_the_pre_refactor_fixture() {
             "envelope #{i} diverged from the fixture"
         );
     }
+}
+
+/// The v4 layouts of the three symbol-carrying messages (wire spec
+/// §§6.5–6.7 before version 5): every symbol and cell a full `u32`, no
+/// `cell_width` byte. Test-only: nothing in the program speaks v4.
+mod v4 {
+    use ppclust::core::protocol::alphanumeric::{MaskedCcm, MaskedCcmBundle};
+    use ppclust::core::protocol::messages::{CcmBundleMsg, MaskedStringsMsg};
+    use ppclust::net::WireReader;
+
+    pub fn masked_strings(payload: &[u8]) -> MaskedStringsMsg {
+        let mut r = WireReader::new(payload);
+        let attribute = r.get_str().unwrap();
+        let count = r.get_u32().unwrap();
+        let strings = (0..count)
+            .map(|_| r.get_u32_vec_at_width(4).unwrap())
+            .collect();
+        r.expect_end().unwrap();
+        MaskedStringsMsg { attribute, strings }
+    }
+
+    pub fn ccm_bundle(payload: &[u8]) -> CcmBundleMsg {
+        let mut r = WireReader::new(payload);
+        let attribute = r.get_str().unwrap();
+        let responder_count = r.get_u32().unwrap() as usize;
+        let initiator_count = r.get_u32().unwrap() as usize;
+        let ccm_count = r.get_u32().unwrap();
+        let ccms = (0..ccm_count)
+            .map(|_| MaskedCcm {
+                responder_len: r.get_u32().unwrap() as usize,
+                initiator_len: r.get_u32().unwrap() as usize,
+                cells: r.get_u32_vec_at_width(4).unwrap(),
+            })
+            .collect();
+        r.expect_end().unwrap();
+        CcmBundleMsg {
+            attribute,
+            bundle: MaskedCcmBundle {
+                responder_count,
+                initiator_count,
+                ccms,
+            },
+        }
+    }
+}
+
+/// The wire-v5 fixture is the v4 fixture with only the symbol payloads
+/// re-laid: the same envelopes in the same order, every non-alphanumeric
+/// payload byte-identical, and every `masked`/`ccms` payload decoding to
+/// the same struct under the old and new layouts (and re-encoding to the
+/// v5 bytes). This keeps the v5 pin as strong as the pre-refactor one.
+#[test]
+fn v5_fixture_differs_from_the_v4_fixture_only_in_symbol_widths() {
+    use ppclust::core::protocol::messages::{CcmBundleMsg, MaskedStringsMsg};
+    use ppclust::core::protocol::topic::{AlphaKind, Step, Topic};
+
+    let old = read_fixture("golden_trace_seed77_v4.bin");
+    let new = read_fixture("golden_trace_seed77.bin");
+    assert_eq!(old.len(), 27, "v4 fixture shape");
+    assert_eq!(new.len(), old.len(), "envelope count");
+    let (mut strings, mut bundles) = (0, 0);
+    for (i, (o, n)) in old.iter().zip(&new).enumerate() {
+        assert_eq!(
+            (o.from, o.to, &o.topic),
+            (n.from, n.to, &n.topic),
+            "envelope #{i}"
+        );
+        let kind = match Topic::parse(&n.topic).unwrap() {
+            Topic::Session {
+                step: Step::Alphanumeric { kind, .. },
+                ..
+            } => Some(kind),
+            _ => None,
+        };
+        match kind {
+            Some(AlphaKind::Masked) => {
+                let msg = MaskedStringsMsg::decode(&n.payload).unwrap();
+                assert_eq!(v4::masked_strings(&o.payload), msg, "envelope #{i}");
+                assert_eq!(msg.encode(), n.payload, "envelope #{i}");
+                assert!(n.payload.len() < o.payload.len(), "envelope #{i}");
+                strings += 1;
+            }
+            Some(AlphaKind::Ccms) => {
+                let msg = CcmBundleMsg::decode(&n.payload).unwrap();
+                assert_eq!(v4::ccm_bundle(&o.payload), msg, "envelope #{i}");
+                assert_eq!(msg.encode(), n.payload, "envelope #{i}");
+                assert!(n.payload.len() < o.payload.len(), "envelope #{i}");
+                bundles += 1;
+            }
+            Some(AlphaKind::CcmsChunk) => panic!("the golden session is unchunked"),
+            None => assert_eq!(o.payload, n.payload, "envelope #{i} ({})", n.topic),
+        }
+    }
+    assert_eq!((strings, bundles), (3, 3), "one of each per holder pair");
 }
 
 /// A single-session engine over the default in-memory transport sends the
