@@ -342,6 +342,30 @@ impl CondensedDistanceMatrix {
         Ok(())
     }
 
+    /// Copies a whole smaller matrix onto the diagonal block that starts at
+    /// object `offset`: entry `(offset + i, offset + j)` takes
+    /// `local.get(i, j)`. Row `i` of the local triangle is contiguous in
+    /// both layouts, so each row is one slice copy.
+    pub fn set_triangle(
+        &mut self,
+        offset: usize,
+        local: &CondensedDistanceMatrix,
+    ) -> Result<(), ClusterError> {
+        if offset + local.n > self.n {
+            return Err(ClusterError::IndexOutOfBounds {
+                index: offset + local.n,
+                size: self.n,
+            });
+        }
+        for i in 1..local.n {
+            let from = i * (i - 1) / 2;
+            let row = offset + i;
+            let to = row * (row - 1) / 2 + offset;
+            self.values[to..to + i].copy_from_slice(&local.values[from..from + i]);
+        }
+        Ok(())
+    }
+
     /// Maximum absolute element-wise difference to another matrix of the
     /// same size (∞ if sizes differ). Used by the accuracy experiments to
     /// show the privacy-preserving matrix equals the centralized one.
@@ -522,6 +546,26 @@ mod tests {
         chunked.set_block(2, 0, 2, &block[..4]).unwrap();
         chunked.set_block(4, 0, 2, &block[4..]).unwrap();
         assert_eq!(whole, chunked);
+    }
+
+    #[test]
+    fn set_triangle_equals_setting_every_entry() {
+        for (n, offset, k) in [(9, 3, 5), (9, 0, 9), (6, 5, 1), (6, 6, 0), (7, 2, 2)] {
+            let local = CondensedDistanceMatrix::from_fn(k, |i, j| (i * 10 + j) as f64 + 0.5);
+            let mut fast = CondensedDistanceMatrix::from_fn(n, |i, j| -((i * n + j) as f64));
+            let mut slow = fast.clone();
+            fast.set_triangle(offset, &local).unwrap();
+            for i in 1..k {
+                for j in 0..i {
+                    slow.set(offset + i, offset + j, local.get(i, j));
+                }
+            }
+            assert_eq!(fast, slow, "n={n} offset={offset} k={k}");
+        }
+        let mut m = CondensedDistanceMatrix::zeros(4);
+        assert!(m
+            .set_triangle(2, &CondensedDistanceMatrix::zeros(3))
+            .is_err());
     }
 
     #[test]

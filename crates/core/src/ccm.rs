@@ -3,9 +3,13 @@
 //! A CCM for source string `s` and target string `t` is an
 //! `s.len() × t.len()` boolean matrix whose entry `[i][j]` is 0 when
 //! `s[i] == t[j]` and non-zero otherwise. The paper's observation is that a
-//! CCM is "equally expressive" input to the edit-distance dynamic program as
+//! CCM is "equally expressive" input to the edit-distance computation as
 //! the strings themselves — which is exactly what lets the third party
-//! compute edit distances without ever seeing either string.
+//! compute edit distances without ever seeing either string. Each CCM row,
+//! read as the set of target positions that match, is one text position's
+//! equality bitmask for the bit-parallel kernel in
+//! [`distance::edit`](crate::distance::edit); the reference dynamic program
+//! reads the same entries as substitution costs.
 
 use serde::{Deserialize, Serialize};
 
@@ -74,7 +78,8 @@ impl CharacterComparisonMatrix {
         self.mismatch[i * self.target_len + j]
     }
 
-    /// Substitution cost for the edit-distance dynamic program (0 or 1).
+    /// Substitution cost for the reference edit-distance dynamic program
+    /// (0 or 1).
     pub fn substitution_cost(&self, i: usize, j: usize) -> u32 {
         u32::from(self.differs(i, j))
     }

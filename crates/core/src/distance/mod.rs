@@ -6,7 +6,7 @@
 
 pub mod edit;
 
-pub use edit::{edit_distance, edit_distance_from_ccm};
+pub use edit::{edit_distance, edit_distance_bits, edit_distance_dp, edit_distance_from_ccm};
 
 use crate::error::CoreError;
 use crate::schema::AttributeDescriptor;

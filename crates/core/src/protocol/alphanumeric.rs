@@ -12,8 +12,9 @@
 //!    `M[q][p] = (s'[p] − t[q]) mod |A|` and ships the whole bundle to the
 //!    third party ([`responder_build_bundle`]).
 //! 3. `TP` regenerates the offsets, unmasks every cell, obtains the character
-//!    comparison matrix (0 = match, 1 = mismatch) and runs the edit-distance
-//!    dynamic program on it ([`third_party_edit_distances`]).
+//!    comparison matrix (a cell matches when it equals its column's offset
+//!    mod `|A|`) and evaluates the edit distance on it
+//!    ([`third_party_edit_distances`]).
 //!
 //! The third party therefore learns the *pattern of character equalities*
 //! between string pairs (exactly the CCM) and the resulting edit distance,
@@ -21,14 +22,19 @@
 //!
 //! ## Kernels and oracles
 //!
-//! The character loops run through the branch-free modular kernels of
-//! [`kernels`] whenever the operands are inside
-//! the alphabet domain (always, for data produced by this protocol); data
-//! that arrives off the wire outside the domain falls back to the scalar
-//! masker so outputs stay identical to the `*_scalar` oracles for *every*
-//! input. The shared `rng_JT` offset prefix is exposed through the
-//! `*_with_offsets` variants so a derivation cache can hand the same prefix
-//! to many sessions.
+//! The holders' character loops run through the branch-free modular
+//! kernels of [`kernels`] whenever the operands are inside the alphabet
+//! domain (always, for data produced by this protocol). The third party
+//! packs each unmasked CCM row into an equality bitmask over the
+//! initiator's string, which is exactly the input of the bit-parallel
+//! edit-distance kernel ([`edit_distance_bits`]); no CCM, mismatch map or
+//! DP table is materialised. Data that arrives off the wire outside the
+//! domain falls back to the scalar masker's arithmetic, so outputs stay
+//! identical to the `*_scalar` oracles (which run the reference dynamic
+//! program) for *every* input. The shared `rng_JT` offset prefix is exposed
+//! through the `*_with_offsets` variants so a derivation cache can hand the
+//! same prefix to many sessions; it spans only the matrices that carry
+//! cells ([`offsets_needed`]).
 
 use ppc_crypto::prng::DynStreamRng;
 use ppc_crypto::{
@@ -36,7 +42,7 @@ use ppc_crypto::{
 };
 
 use crate::ccm::CharacterComparisonMatrix;
-use crate::distance::edit_distance_from_ccm;
+use crate::distance::{edit_distance_bits, edit_distance_dp};
 use crate::error::CoreError;
 use crate::pairwise::PairwiseBlock;
 use crate::protocol::kernels;
@@ -52,6 +58,18 @@ pub struct MaskedCcm {
     pub initiator_len: usize,
     /// Row-major cell values in `[0, |A|)`.
     pub cells: Vec<u32>,
+}
+
+/// The `rng_JT` offset prefix a set of matrices needs: as long as the
+/// widest one that carries cells. An empty matrix needs none, so a
+/// `0 × n` matrix off the wire, whose `n` no cell backs, cannot ask for
+/// `n` draws.
+pub fn offsets_needed(ccms: &[MaskedCcm]) -> usize {
+    ccms.iter()
+        .filter(|c| c.responder_len > 0)
+        .map(|c| c.initiator_len.min(c.cells.len()))
+        .max()
+        .unwrap_or(0)
 }
 
 /// The full bundle `DH_K` sends to the third party: one [`MaskedCcm`] per
@@ -243,19 +261,27 @@ pub fn third_party_edit_distances(
     // matrix — so the whole bundle consumes one shared offset prefix. Draw
     // the longest prefix once instead of regenerating it for every row of
     // every matrix: the unmasking below is value-identical while the cipher
-    // work drops from Σ rows·cols draws to max(cols).
-    let max_cols = bundle
-        .ccms
-        .iter()
-        .map(|c| c.initiator_len)
-        .max()
-        .unwrap_or(0);
-    let offsets = offset_prefix(max_cols, alphabet_size, seed_jt, algorithm);
+    // work drops from Σ rows·cols draws to max(cols), counted over the
+    // matrices that carry cells.
+    let offsets = offset_prefix(
+        offsets_needed(&bundle.ccms),
+        alphabet_size,
+        seed_jt,
+        algorithm,
+    );
     third_party_edit_distances_with_offsets(bundle, alphabet_size, &offsets)
 }
 
 /// [`third_party_edit_distances`] over an already-derived offset prefix
-/// (the cacheable form). `offsets` must cover the widest matrix.
+/// (the cacheable form). `offsets` must cover [`offsets_needed`].
+///
+/// Each CCM row is packed into match bits (a cell matches when it equals
+/// its column's offset reduced mod `|A|`, [`kernels::alpha_match_bits`])
+/// that go straight into the bit-parallel edit-distance kernel, the
+/// initiator's string as the pattern and the responder's rows as the
+/// text; no CCM, mismatch map or DP table is built. A matrix with
+/// off-domain cells takes the scalar masker's `is_match` bits instead, so
+/// the result equals [`third_party_edit_distances_scalar`] for every input.
 pub fn third_party_edit_distances_with_offsets(
     bundle: &MaskedCcmBundle,
     alphabet_size: u32,
@@ -269,24 +295,15 @@ pub fn third_party_edit_distances_with_offsets(
             bundle.responder_count * bundle.initiator_count
         )));
     }
-    let max_cols = bundle
-        .ccms
-        .iter()
-        .map(|c| c.initiator_len)
-        .max()
-        .unwrap_or(0);
-    if offsets.len() < max_cols {
+    let needed = offsets_needed(&bundle.ccms);
+    if offsets.len() < needed {
         return Err(CoreError::Protocol(format!(
-            "offset prefix of {} covers matrices up to {max_cols} columns",
+            "offset prefix of {} covers matrices up to {needed} columns",
             offsets.len()
         )));
     }
-    // `d mod |A| = 0 ⇔ d = |A|` needs the inverse offsets in [1, |A|]; see
-    // the mismatch kernel's contract.
-    let inverse: Vec<u32> = offsets[..max_cols]
-        .iter()
-        .map(|&o| alphabet_size - (o % alphabet_size))
-        .collect();
+    let offsets = &offsets[..needed];
+    let reduced: Vec<u32> = offsets.iter().map(|&o| o % alphabet_size).collect();
     let mut distances = Vec::with_capacity(bundle.ccms.len());
     for masked in &bundle.ccms {
         if masked.cells.len() != masked.responder_len * masked.initiator_len {
@@ -294,37 +311,31 @@ pub fn third_party_edit_distances_with_offsets(
                 "masked CCM cell count does not match its dimensions".into(),
             ));
         }
-        let cols = masked.initiator_len;
-        let mut mismatch = vec![false; masked.cells.len()];
-        if cols > 0 {
-            if masked.cells.iter().all(|&c| c < alphabet_size) {
-                for (row, out_row) in masked
-                    .cells
-                    .chunks_exact(cols)
-                    .zip(mismatch.chunks_exact_mut(cols))
-                {
-                    kernels::alpha_mismatch_row(row, &inverse[..cols], alphabet_size, out_row);
-                }
-            } else {
-                // Off-domain cells from the wire: scalar modular unmasking.
-                for (row, out_row) in masked
-                    .cells
-                    .chunks_exact(cols)
-                    .zip(mismatch.chunks_exact_mut(cols))
-                {
-                    for (o, (&cell, &offset)) in out_row.iter_mut().zip(row.iter().zip(offsets)) {
-                        *o = !masker.is_match(cell, offset);
-                    }
-                }
-            }
+        let (rows, cols) = (masked.responder_len, masked.initiator_len);
+        if rows == 0 || cols == 0 {
+            // An empty string on one side: the distance is the other
+            // string's length, with no cell to unmask.
+            distances.push((rows + cols) as u32);
+            continue;
         }
-        // CCM convention: source = DH_K's string (rows), target = DH_J's.
-        let ccm = CharacterComparisonMatrix::from_mismatches(
-            masked.responder_len,
-            masked.initiator_len,
-            mismatch,
-        )?;
-        distances.push(edit_distance_from_ccm(&ccm));
+        let row = |q: usize| &masked.cells[q * cols..(q + 1) * cols];
+        let in_domain = masked
+            .cells
+            .iter()
+            .fold(true, |all, &cell| all & (cell < alphabet_size));
+        let distance = if in_domain {
+            edit_distance_bits(cols, rows, |q, words| {
+                kernels::alpha_match_bits(row(q), &reduced[..cols], words);
+            })
+        } else {
+            // Off-domain cells from the wire: scalar modular unmasking.
+            edit_distance_bits(cols, rows, |q, words| {
+                for (p, (&cell, &offset)) in row(q).iter().zip(offsets).enumerate() {
+                    words[p / 64] |= u64::from(masker.is_match(cell, offset)) << (p % 64);
+                }
+            })
+        };
+        distances.push(distance);
     }
     PairwiseBlock::new(bundle.responder_count, bundle.initiator_count, distances)
 }
@@ -373,7 +384,11 @@ pub fn third_party_edit_distances_scalar(
             masked.initiator_len,
             mismatch,
         )?;
-        distances.push(edit_distance_from_ccm(&ccm));
+        distances.push(edit_distance_dp(
+            ccm.source_len(),
+            ccm.target_len(),
+            |i, j| ccm.substitution_cost(i, j),
+        ));
     }
     PairwiseBlock::new(bundle.responder_count, bundle.initiator_count, distances)
 }
@@ -550,6 +565,15 @@ mod tests {
             third_party_edit_distances_scalar(&bundle, 4, &seeds.holder_third_party, algorithm)
                 .unwrap();
         assert_eq!(fast, slow);
+        // Cells at the top of the 4-byte wire width unmask without overflow.
+        let mut bundle = bundle;
+        bundle.ccms[0].cells = vec![u32::MAX, u32::MAX - 1, 3, u32::MAX - 3];
+        let fast =
+            third_party_edit_distances(&bundle, 4, &seeds.holder_third_party, algorithm).unwrap();
+        let slow =
+            third_party_edit_distances_scalar(&bundle, 4, &seeds.holder_third_party, algorithm)
+                .unwrap();
+        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -629,5 +653,127 @@ mod tests {
             .unwrap();
             assert_eq!(*d.get(0, 0), edit_distance("acgtacgt", "aggt"));
         }
+    }
+
+    /// A reproducible stream of test draws (SplitMix64).
+    fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    #[test]
+    fn kernel_path_matches_the_scalar_oracle_on_wide_and_off_domain_ccms() {
+        let seeds = seeds();
+        let algorithm = RngAlgorithm::ChaCha20;
+        let dims = [0usize, 1, 5, 63, 64, 65, 128, 130];
+        for (case, size) in [2u32, 4, 26, 300].into_iter().enumerate() {
+            let mut next = draws(case as u64);
+            let offsets = offset_prefix(130, size, &seeds.holder_third_party, algorithm);
+            let ccms: Vec<MaskedCcm> = (0..24)
+                .map(|_| {
+                    let rows = dims[next(dims.len() as u64) as usize];
+                    let cols = dims[next(dims.len() as u64) as usize];
+                    // Cells that unmask to a match about half the time,
+                    // the rest uniform; every other matrix also carries a
+                    // few off-domain cells (congruent to a match or not).
+                    let off_domain = next(2) == 0;
+                    let cells = (0..rows * cols)
+                        .map(|i| {
+                            let offset = offsets[i % cols] % size;
+                            match next(20) {
+                                0..=9 => offset,
+                                10 if off_domain => offset + size * (1 + next(3) as u32),
+                                11 if off_domain => size + next(u64::from(size) * 4) as u32,
+                                _ => next(u64::from(size)) as u32,
+                            }
+                        })
+                        .collect();
+                    MaskedCcm {
+                        responder_len: rows,
+                        initiator_len: cols,
+                        cells,
+                    }
+                })
+                .collect();
+            let bundle = MaskedCcmBundle {
+                responder_count: 4,
+                initiator_count: 6,
+                ccms,
+            };
+            let fast =
+                third_party_edit_distances(&bundle, size, &seeds.holder_third_party, algorithm)
+                    .unwrap();
+            let slow = third_party_edit_distances_scalar(
+                &bundle,
+                size,
+                &seeds.holder_third_party,
+                algorithm,
+            )
+            .unwrap();
+            assert_eq!(fast, slow, "alphabet of {size}");
+        }
+    }
+
+    #[test]
+    fn long_strings_run_the_whole_protocol_exactly() {
+        let alphabet = Alphabet::dna();
+        let strand = |len: usize, salt: usize| -> String {
+            (0..len)
+                .map(|i| ['a', 'c', 'g', 't'][(i * 31 + salt * 17 + i / 5) % 4])
+                .collect()
+        };
+        let j: Vec<String> = [63, 64, 65, 129, 200]
+            .iter()
+            .enumerate()
+            .map(|(salt, &len)| strand(len, salt))
+            .collect();
+        let k: Vec<String> = [1, 64, 128, 150]
+            .iter()
+            .enumerate()
+            .map(|(salt, &len)| strand(len, salt + 3))
+            .collect();
+        let j_refs: Vec<&str> = j.iter().map(String::as_str).collect();
+        let k_refs: Vec<&str> = k.iter().map(String::as_str).collect();
+        let distances = run_protocol(&alphabet, &j_refs, &k_refs, RngAlgorithm::ChaCha20);
+        for (m, t) in k.iter().enumerate() {
+            for (n, s) in j.iter().enumerate() {
+                assert_eq!(*distances.get(m, n), edit_distance(s, t), "{m} × {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_ccms_need_no_offsets() {
+        // A `0 × n` CCM carries no cells, so its width cannot size the
+        // offset prefix; its distance is `n` all the same.
+        let empty = |rows: usize, cols: usize| MaskedCcm {
+            responder_len: rows,
+            initiator_len: cols,
+            cells: vec![],
+        };
+        let bundle = MaskedCcmBundle {
+            responder_count: 1,
+            initiator_count: 3,
+            ccms: vec![
+                empty(0, u32::MAX as usize),
+                empty(7, 0),
+                MaskedCcm {
+                    responder_len: 1,
+                    initiator_len: 2,
+                    cells: vec![1, 2],
+                },
+            ],
+        };
+        assert_eq!(offsets_needed(&bundle.ccms), 2);
+        let offsets = [1, 0];
+        let distances = third_party_edit_distances_with_offsets(&bundle, 4, &offsets).unwrap();
+        assert_eq!(distances.values(), &[u32::MAX, 7, 1]);
+        assert!(third_party_edit_distances_with_offsets(&bundle, 4, &offsets[..1]).is_err());
     }
 }

@@ -2,7 +2,7 @@
 //! hot loops.
 //!
 //! The numeric mask/fold/unmask operations and the alphanumeric
-//! subtract/unmask are element-wise wrapping arithmetic over flat slices —
+//! mask/subtract are element-wise wrapping arithmetic over flat slices —
 //! exactly the shape LLVM's autovectorizer handles, *if* the loop body is
 //! branch-free and the trip count is a fixed stride. Each kernel here
 //! follows the ChaCha wide-kernel idiom from `ppc-crypto`: the bulk of the
@@ -163,29 +163,40 @@ pub fn alpha_mod_add_broadcast(symbols: &[u32], addend: u32, size: u32, out: &mu
     }
 }
 
-/// Third-party mismatch kernel: `out[p] = ((cells[p] + inverse_offsets[p])
-/// mod size) ≠ 0`, where `inverse_offsets[p] = size − offsets[p] mod size`
-/// is in `[1, size]`.
+/// Third-party match kernel: packs `cells[p] == columns[p]` into bit
+/// `p % 64` of `words[p / 64]`, overwriting every word.
 ///
-/// Precondition: every `cells[p] < size`. Then the sum `d` lies in
-/// `[1, 2·size)`, so `d mod size = 0 ⇔ d = size`, making the whole test
-/// one branch-free compare per cell.
-pub fn alpha_mismatch_row(cells: &[u32], inverse_offsets: &[u32], size: u32, out: &mut [bool]) {
-    assert_eq!(cells.len(), inverse_offsets.len());
-    assert_eq!(cells.len(), out.len());
-    let main = cells.len() - cells.len() % LANES;
-    let chunks = cells[..main]
-        .chunks_exact(LANES)
-        .zip(inverse_offsets[..main].chunks_exact(LANES))
-        .zip(out[..main].chunks_exact_mut(LANES));
-    for ((c, v), o) in chunks {
-        for i in 0..LANES {
-            o[i] = c[i] + v[i] != size;
-        }
+/// With `columns[p]` the `rng_JT` offset reduced mod `|A|` and every cell
+/// in `[0, |A|)`, a set bit is exactly a CCM match (the masker's
+/// `is_match`), and the packed row is one text position's equality mask
+/// for the bit-parallel edit distance. `words` must hold
+/// `⌈cells.len() / 64⌉` words.
+#[inline]
+pub fn alpha_match_bits(cells: &[u32], columns: &[u32], words: &mut [u64]) {
+    assert_eq!(cells.len(), columns.len());
+    assert_eq!(words.len(), cells.len().div_ceil(64));
+    // One word (strings of up to 64 symbols) is the common case; the
+    // plain loop compiles tighter than the chunked one below.
+    if let [word] = words {
+        *word = pack_equal(cells, columns);
+        return;
     }
-    for i in main..cells.len() {
-        out[i] = cells[i] + inverse_offsets[i] != size;
+    for ((word, cells), columns) in words
+        .iter_mut()
+        .zip(cells.chunks(64))
+        .zip(columns.chunks(64))
+    {
+        *word = pack_equal(cells, columns);
     }
+}
+
+#[inline(always)]
+fn pack_equal(cells: &[u32], columns: &[u32]) -> u64 {
+    let mut bits = 0u64;
+    for (k, (&cell, &column)) in cells.iter().zip(columns).enumerate() {
+        bits |= u64::from(cell == column) << k;
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -240,7 +251,7 @@ mod tests {
         let size = 26u32;
         let masker = AlphabetMasker::new(size).unwrap();
         let mut rng = rng();
-        for len in [0usize, 1, 5, 8, 13, 24] {
+        for len in [0usize, 1, 5, 8, 13, 24, 63, 64, 65, 130] {
             let symbols: Vec<u32> = (0..len)
                 .map(|_| rng.next_below(size as u64) as u32)
                 .collect();
@@ -253,14 +264,20 @@ mod tests {
             alpha_mod_add_row(&symbols, &offsets, size, &mut masked);
             let mut cells = vec![0u32; len];
             alpha_mod_add_broadcast(&masked, size - t, size, &mut cells);
-            let inverse: Vec<u32> = offsets.iter().map(|&o| size - o).collect();
-            let mut mismatch = vec![false; len];
-            alpha_mismatch_row(&cells, &inverse, size, &mut mismatch);
+
+            let reduced: Vec<u32> = offsets.iter().map(|&o| o % size).collect();
+            let mut words = vec![!0u64; len.div_ceil(64)];
+            alpha_match_bits(&cells, &reduced, &mut words);
 
             for p in 0..len {
                 assert_eq!(masked[p], masker.mask(symbols[p], offsets[p]));
                 assert_eq!(cells[p], masker.subtract(masked[p], t));
-                assert_eq!(mismatch[p], !masker.is_match(cells[p], offsets[p]));
+                let bit = words[p / 64] >> (p % 64) & 1 == 1;
+                assert_eq!(bit, masker.is_match(cells[p], offsets[p]));
+            }
+            // Bits past the row stay clear.
+            if len % 64 != 0 {
+                assert_eq!(words[len / 64] >> (len % 64), 0);
             }
         }
     }

@@ -1333,11 +1333,7 @@ impl ThirdPartyMachine {
             .matrix
             .as_mut()
             .ok_or_else(|| CoreError::Protocol("local matrix for categorical attribute".into()))?;
-        for i in 1..local.len() {
-            for j in 0..i {
-                matrix.set(range.start + i, range.start + j, local.get(i, j));
-            }
-        }
+        matrix.set_triangle(range.start, &local)?;
         if !attr.locals_received.insert(site) {
             return Err(CoreError::Protocol(format!(
                 "site {site} sent its local matrix twice for attribute {attribute}"
@@ -1565,16 +1561,10 @@ impl ThirdPartyMachine {
             )));
         }
         let tp_seed = self.keys.seed_for(pair.0, &name)?;
-        let max_cols = bundle
-            .bundle
-            .ccms
-            .iter()
-            .map(|c| c.initiator_len)
-            .max()
-            .unwrap_or(0);
+        let width = alphanumeric::offsets_needed(&bundle.bundle.ccms);
         let started = Instant::now();
-        let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
-        let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
+        let raw = self.ctx.raw_prefix(&tp_seed, width);
+        let offsets = offsets_from_raw(&raw[..width], alphabet.size());
         self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
         let started = Instant::now();
         let distances = alphanumeric::third_party_edit_distances_with_offsets(
@@ -1646,15 +1636,10 @@ impl ThirdPartyMachine {
             initiator_count: chunk.initiator_count as usize,
             ccms: chunk.ccms,
         };
-        let max_cols = window
-            .ccms
-            .iter()
-            .map(|c| c.initiator_len)
-            .max()
-            .unwrap_or(0);
+        let width = alphanumeric::offsets_needed(&window.ccms);
         let started = Instant::now();
-        let raw = self.ctx.raw_prefix(&tp_seed, max_cols);
-        let offsets = offsets_from_raw(&raw[..max_cols], alphabet.size());
+        let raw = self.ctx.raw_prefix(&tp_seed, width);
+        let offsets = offsets_from_raw(&raw[..width], alphabet.size());
         self.compute.derive_nanos += started.elapsed().as_nanos() as u64;
         let started = Instant::now();
         let distances = alphanumeric::third_party_edit_distances_with_offsets(

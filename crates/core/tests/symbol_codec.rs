@@ -5,14 +5,26 @@
 //! Every input must decode to `Ok` or `Err` — never a panic — and an
 //! inflated count or length must fail before the decoder allocates more
 //! than a small multiple of the input. A counting global allocator checks
-//! the second half.
+//! the second half, and also that the third party folds what does decode
+//! (a `0 × n` CCM's `n` is backed by no payload byte) within the same
+//! bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::collections::BTreeMap;
+
+use ppc_core::alphabet::Alphabet;
 use ppc_core::error::CoreError;
 use ppc_core::protocol::alphanumeric::{MaskedCcm, MaskedCcmBundle};
+use ppc_core::protocol::driver::ClusteringRequest;
+use ppc_core::protocol::machines::{SessionContext, ThirdPartyMachine};
 use ppc_core::protocol::messages::{CcmBundleMsg, CcmChunkMsg, MaskedStringsMsg};
+use ppc_core::protocol::party::ThirdPartyKeys;
+use ppc_core::protocol::ProtocolConfig;
+use ppc_core::schema::{AttributeDescriptor, Schema};
+use ppc_crypto::Seed;
+use ppc_net::{Envelope, PartyId};
 use proptest::prelude::*;
 
 /// Records the largest single allocation each thread makes.
@@ -110,7 +122,9 @@ struct Fields {
     /// header counts, each item's dimensions and its symbol count.
     counts: Vec<usize>,
     /// The `n` of a `0 × n` CCM (or the `m` of an `m × 0` one): no cell
-    /// contradicts it, so inflating it still decodes.
+    /// contradicts it, so inflating it still decodes. The third party then
+    /// takes it as the pair's distance without deriving offsets for it
+    /// (`third_party_folds_unbacked_widths_within_the_bound`).
     unbacked: Vec<usize>,
     /// The `cell_width` byte.
     width: usize,
@@ -294,6 +308,78 @@ fn inflated_counts_and_lengths_fail_before_allocating() {
                 );
             }
         }
+    }
+}
+
+/// A third party for two sites: site 0 (two objects) initiates to site 1
+/// (two objects) over one DNA attribute.
+fn third_party() -> ThirdPartyMachine {
+    let schema = Schema::new(vec![AttributeDescriptor::alphanumeric(
+        "dna",
+        Alphabet::dna(),
+    )])
+    .unwrap();
+    let request = ClusteringRequest::uniform(&schema, 2);
+    let ctx = SessionContext::oracle(schema, ProtocolConfig::default(), request);
+    let keys = ThirdPartyKeys::new(BTreeMap::from([
+        (0, Seed::from_u64(5)),
+        (1, Seed::from_u64(6)),
+    ]));
+    ThirdPartyMachine::new(ctx, keys, &[(0, 2), (1, 2)]).unwrap()
+}
+
+/// Row 0 is an empty responder string against initiator strings declared
+/// `u32::MAX` and 3 symbols long; row 1 is a 2-symbol responder string
+/// against 2- and 3-symbol ones, so real cells ride along.
+fn unbacked_ccms() -> Vec<MaskedCcm> {
+    let empty = |cols: usize| MaskedCcm {
+        responder_len: 0,
+        initiator_len: cols,
+        cells: vec![],
+    };
+    vec![
+        empty(u32::MAX as usize),
+        empty(3),
+        ccm(2, 2, 3, 1),
+        ccm(2, 3, 3, 2),
+    ]
+}
+
+#[test]
+fn third_party_folds_unbacked_widths_within_the_bound() {
+    let chunk = CcmChunkMsg {
+        attribute: "dna".into(),
+        start_row: 0,
+        rows: 2,
+        total_rows: 2,
+        initiator_count: 2,
+        ccms: unbacked_ccms(),
+    }
+    .encode();
+    let whole = CcmBundleMsg {
+        attribute: "dna".into(),
+        bundle: MaskedCcmBundle {
+            responder_count: 2,
+            initiator_count: 2,
+            ccms: unbacked_ccms(),
+        },
+    }
+    .encode();
+    for (kind, payload) in [("ccms-chunk", chunk), ("ccms", whole)] {
+        let mut tp = third_party();
+        let envelope = Envelope::new(
+            PartyId::DataHolder(1),
+            PartyId::ThirdParty,
+            format!("alphanumeric/dna/0-1/{kind}"),
+            payload.clone(),
+        );
+        let (result, largest) = largest_allocation(|| tp.step(Some(&envelope)));
+        result.unwrap_or_else(|e| panic!("{kind}: {e}"));
+        assert!(
+            largest <= allocation_bound(&payload),
+            "{kind}: the third party allocated {largest} bytes for a {}-byte payload",
+            payload.len()
+        );
     }
 }
 

@@ -115,16 +115,25 @@ impl AlphabetMasker {
         (symbol + offset % self.size) % self.size
     }
 
-    /// `DH_K` side: subtracts its own symbol, `(s' − t) mod |A|`.
+    /// `DH_K` side: subtracts its own symbol, `(s' − t) mod |A|`. A masked
+    /// symbol off the wire may be any `u32`; the sum is taken in 64 bits,
+    /// so it cannot overflow.
     pub fn subtract(&self, masked: u32, symbol: u32) -> u32 {
         debug_assert!(symbol < self.size, "symbol {symbol} outside alphabet");
-        (masked + self.size - (symbol % self.size)) % self.size
+        self.minus(masked, symbol)
     }
 
     /// Third-party side: removes the mask; the result is `0` exactly when
-    /// the two underlying symbols were equal.
+    /// the two underlying symbols were equal. Any `u32` cell is accepted
+    /// (64-bit sum, like [`Self::subtract`]).
     pub fn unmask(&self, value: u32, offset: u32) -> u32 {
-        (value + self.size - (offset % self.size)) % self.size
+        self.minus(value, offset)
+    }
+
+    /// `(a − b) mod |A|` for any `a`, `b`.
+    fn minus(&self, a: u32, b: u32) -> u32 {
+        let size = u64::from(self.size);
+        ((u64::from(a) + size - u64::from(b) % size) % size) as u32
     }
 
     /// Convenience: whether the unmasked value signals symbol equality.
@@ -212,6 +221,25 @@ mod tests {
         // And a non-equal pair: s[0]='a' vs t[0]='b'.
         let m_0_0 = masker.subtract(masked[0], t[0]);
         assert!(!masker.is_match(m_0_0, r[0]));
+    }
+
+    #[test]
+    fn off_domain_values_reduce_without_overflow() {
+        for size in [2u32, 4, 26, 300, u32::MAX] {
+            let masker = AlphabetMasker::new(size).unwrap();
+            let size64 = u64::from(size);
+            for value in [0, size - 1, size, u32::MAX - size, u32::MAX - 1, u32::MAX] {
+                for offset in [0, 1, size - 1, u32::MAX] {
+                    let expected =
+                        (u64::from(value) + size64 - u64::from(offset) % size64) % size64;
+                    assert_eq!(u64::from(masker.unmask(value, offset)), expected);
+                    assert_eq!(masker.is_match(value, offset), expected == 0);
+                    let symbol = offset % size;
+                    let expected = (u64::from(value) + size64 - u64::from(symbol)) % size64;
+                    assert_eq!(u64::from(masker.subtract(value, symbol)), expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ppc_core::protocol::ProtocolConfig;
 use ppc_party::{parse_manifest, parse_schema, render_clusters, render_f64_bits};
 use ppc_scenario::chaos::{self, classify_process_run, Fault, RunOutcome};
 use ppc_scenario::factory::{Scenario, ScenarioSpec, SchemaShape, SiteSkew};
-use ppc_scenario::proxy::TamperProxy;
+use ppc_scenario::proxy::{TamperProxy, WithholdProxy};
 
 const SEED: u64 = 0xCAFE_0008;
 
@@ -406,6 +406,11 @@ fn tampered_sealed_frame_settles_channel_auth() {
 /// the survivors' sends keep succeeding (the router buffers) and the
 /// coordinator must classify as `Stalled` — within the configurable
 /// budget (`--stall-ms`/`--stall-waits`), not a CI-killing hang.
+///
+/// The kill is tied to an event, not a timer: the third party dials
+/// through a [`WithholdProxy`] that silences it once the router sends it
+/// its first data-sized frame, and the test kills it then. However fast
+/// the build, the federation cannot finish first.
 #[test]
 fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     let scenario = process_scenario(150, 2);
@@ -416,7 +421,9 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     let (dir, csvs, manifest) = stage_artifacts(&scenario, "kill");
 
     let (mut router, addr) = ppc_net::TcpRouter::spawn("127.0.0.1:0").unwrap();
+    let proxy = WithholdProxy::spawn_until_first_large_frame(addr, 512).unwrap();
     let addr = addr.to_string();
+    let proxy_addr = proxy.addr().to_string();
 
     // 50 ms × 40 ≈ 2 s of true silence before a process settles its stall.
     let budgets: &[(&str, &str)] = &[
@@ -439,7 +446,7 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
         Some(&csvs[2]),
         budgets,
     ));
-    let mut tp = spawn(&serve_args(&scenario, &addr, "TP", None, budgets));
+    let mut tp = spawn(&serve_args(&scenario, &proxy_addr, "TP", None, budgets));
     let coordinate = spawn(&coordinate_args(
         &scenario,
         &addr,
@@ -448,9 +455,10 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
         budgets,
     ));
 
-    // Kill the third party early in the run; the router keeps its mailbox,
-    // so nobody observes a send failure — only silence.
-    std::thread::sleep(Duration::from_millis(300));
+    // Kill the third party once the session's data starts reaching it; the
+    // router keeps its mailbox, so nobody observes a send failure — only
+    // silence.
+    let withheld = proxy.wait_withholding(Duration::from_secs(60));
     let _ = tp.child.kill();
     let _ = wait_with_deadline(tp, "serve TP (killed)", Duration::from_secs(5));
 
@@ -462,6 +470,10 @@ fn killing_the_third_party_behind_the_router_stalls_within_budget() {
     }
     router.shutdown();
 
+    assert!(
+        withheld,
+        "the third party never received a data-sized frame\nstdout:\n{coord_stdout}"
+    );
     let outcome = classify_process_run(coord_out.success, coord_to, coord_stdout, coord_stderr);
     cell.expect.check(&outcome, None).unwrap_or_else(|e| {
         panic!(

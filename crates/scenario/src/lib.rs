@@ -15,8 +15,9 @@
 //!   taxonomy** ([`chaos::RunOutcome`]) and per-cell expectations
 //!   ([`chaos::Expectation`]) that make "settled" runs impossible to pass
 //!   off as "completed".
-//! * [`proxy`] — reusable byte-level TCP adversaries (tamper proxy) for
-//!   driving the tampering cells against real sockets.
+//! * [`proxy`] — reusable byte-level TCP adversaries (tamper and withhold
+//!   proxies) for driving the tampering and kill cells against real
+//!   sockets.
 //! * [`digest`] — the order-sensitive fingerprints used for byte-identity
 //!   (`f64`-bit exact) comparisons against the in-process oracle.
 //!
@@ -35,4 +36,4 @@ pub mod proxy;
 
 pub use chaos::{ChaosCell, Expectation, FailureReason, Fault, NetworkProfile, RunOutcome};
 pub use factory::{Scenario, ScenarioSpec, SchemaShape, SessionProfile, SiteSkew};
-pub use proxy::TamperProxy;
+pub use proxy::{TamperProxy, WithholdProxy};

@@ -1,10 +1,15 @@
-//! Byte-level TCP adversaries for the tampering cells.
+//! Byte-level TCP adversaries for the tampering and kill cells.
 //!
 //! A [`TamperProxy`] sits between a dialler and its upstream (a router or
 //! a direct acceptor) and flips exactly one byte of each connection's
 //! client→upstream stream — at a fixed absolute offset
 //! ([`TamperProxy::spawn`]) or inside the first frame whose body clears a
 //! size threshold ([`TamperProxy::spawn_on_first_large_frame`]).
+//!
+//! A [`WithholdProxy`] forwards faithfully until the upstream sends the
+//! dialler its first data-sized frame, then silences the dialler for good
+//! and says so: a kill cell can act on that event instead of on a timer,
+//! and the run cannot finish first however fast the parties are.
 //!
 //! Where the flip lands matters, in two ways.
 //!
@@ -31,6 +36,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// The dialler→acceptor link handshake is 28 bytes on the wire (magic,
 /// version/flags, party ids, resume token), followed by 4-byte length
@@ -135,17 +142,61 @@ enum FlipRule {
     LargeFrame { min_body: usize, extra: usize },
 }
 
-/// Incremental frame-boundary scanner over a dialler stream: skips the
-/// handshake, reads each 4-byte length prefix, and resolves the rule into
-/// an absolute offset as soon as the qualifying frame's header streams by.
+/// Walks one direction of a link byte by byte: the sender's hello (15
+/// bytes, the last its announced party count), 5 bytes per announced
+/// party and the 8-byte resume count, then frames — a 4-byte
+/// little-endian body length and that many body bytes.
+struct FrameWalker {
+    hello: [u8; 15],
+    hello_got: usize,
+    skip: usize,
+    header: [u8; 4],
+    header_got: usize,
+}
+
+impl FrameWalker {
+    fn new() -> FrameWalker {
+        FrameWalker {
+            hello: [0; 15],
+            hello_got: 0,
+            skip: 0,
+            header: [0; 4],
+            header_got: 0,
+        }
+    }
+
+    /// Consumes one byte; returns the body length when it completes a
+    /// frame's length prefix.
+    fn step(&mut self, byte: u8) -> Option<usize> {
+        if self.hello_got < self.hello.len() {
+            self.hello[self.hello_got] = byte;
+            self.hello_got += 1;
+            if self.hello_got == self.hello.len() {
+                self.skip = 5 * usize::from(self.hello[14]) + 8;
+            }
+        } else if self.skip > 0 {
+            self.skip -= 1;
+        } else {
+            self.header[self.header_got] = byte;
+            self.header_got += 1;
+            if self.header_got == 4 {
+                self.header_got = 0;
+                let len = u32::from_le_bytes(self.header) as usize;
+                self.skip = len;
+                return Some(len);
+            }
+        }
+        None
+    }
+}
+
+/// Resolves a [`FlipRule`] over a dialler stream into an absolute offset
+/// (as soon as the qualifying frame's header streams by) and flips it.
 struct FlipScanner {
     rule: FlipRule,
     pos: usize,
     resolved: Option<usize>,
-    handshake_left: usize,
-    header: [u8; 4],
-    header_got: usize,
-    body_left: usize,
+    frames: FrameWalker,
 }
 
 impl FlipScanner {
@@ -157,10 +208,7 @@ impl FlipScanner {
                 FlipRule::At(at) => Some(at),
                 FlipRule::LargeFrame { .. } => None,
             },
-            handshake_left: HANDSHAKE_BYTES,
-            header: [0; 4],
-            header_got: 0,
-            body_left: 0,
+            frames: FrameWalker::new(),
         }
     }
 
@@ -174,22 +222,11 @@ impl FlipScanner {
             if self.resolved.is_some() {
                 continue;
             }
-            if self.handshake_left > 0 {
-                self.handshake_left -= 1;
-            } else if self.body_left > 0 {
-                self.body_left -= 1;
-            } else {
-                self.header[self.header_got] = *byte;
-                self.header_got += 1;
-                if self.header_got == 4 {
-                    self.header_got = 0;
-                    let len = u32::from_le_bytes(self.header) as usize;
-                    self.body_left = len;
-                    if let FlipRule::LargeFrame { min_body, extra } = self.rule {
-                        if len >= min_body {
-                            self.resolved = Some(abs + 1 + SEALED_RECORD_PRELUDE_BYTES + extra);
-                        }
-                    }
+            if let (Some(len), FlipRule::LargeFrame { min_body, extra }) =
+                (self.frames.step(*byte), self.rule)
+            {
+                if len >= min_body {
+                    self.resolved = Some(abs + 1 + SEALED_RECORD_PRELUDE_BYTES + extra);
                 }
             }
         }
@@ -213,6 +250,143 @@ fn pump(mut from: TcpStream, mut to: TcpStream, flip: Option<FlipRule>) {
                 scan.process(&mut buf[..n]);
             }
             if to.write_all(&buf[..n]).is_err() {
+                return;
+            }
+        }
+    });
+}
+
+/// A TCP proxy that cuts its dialler off at the first data frame.
+///
+/// Every accepted connection is forwarded to the same upstream, both
+/// ways, until some connection's upstream→dialler stream starts a frame
+/// whose body is at least `min_body` bytes (control records — handshake
+/// replies, readiness announces — are tens of bytes). From that frame's
+/// length prefix on, the proxy drops every byte in both directions on
+/// every connection, present and future, while keeping the sockets open;
+/// only a close still passes through. To the dialler's peers it looks
+/// like a party that went silent mid-run.
+#[derive(Debug, Clone)]
+pub struct WithholdProxy {
+    addr: SocketAddr,
+    tripped: Arc<Trip>,
+}
+
+/// The one-way "withholding now" flag the pumps share with the handle.
+#[derive(Debug, Default)]
+struct Trip {
+    set: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Trip {
+    fn is_set(&self) -> bool {
+        *self.set.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn set(&self) {
+        *self.set.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.changed.notify_all();
+    }
+}
+
+impl WithholdProxy {
+    /// Spawns the proxy in front of `upstream`.
+    pub fn spawn_until_first_large_frame(
+        upstream: SocketAddr,
+        min_body: usize,
+    ) -> std::io::Result<WithholdProxy> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let tripped = Arc::new(Trip::default());
+        let trip = Arc::clone(&tripped);
+        std::thread::spawn(move || {
+            while let Ok((client, _)) = listener.accept() {
+                let _ = client.set_nodelay(true);
+                let server = match TcpStream::connect(upstream) {
+                    Ok(s) => s,
+                    Err(_) => continue,
+                };
+                let _ = server.set_nodelay(true);
+                if let (Ok(c2), Ok(s2)) = (client.try_clone(), server.try_clone()) {
+                    withhold_pump(client, s2, None, Arc::clone(&trip));
+                    withhold_pump(server, c2, Some(min_body), Arc::clone(&trip));
+                }
+            }
+        });
+        Ok(WithholdProxy { addr, tripped })
+    }
+
+    /// The address the dialler should connect to instead of the upstream.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks until the proxy has started withholding or `timeout`
+    /// passes; returns whether it is withholding.
+    pub fn wait_withholding(&self, timeout: Duration) -> bool {
+        let guard = self.tripped.set.lock().unwrap_or_else(|e| e.into_inner());
+        let (guard, _) = self
+            .tripped
+            .changed
+            .wait_timeout_while(guard, timeout, |set| !*set)
+            .unwrap_or_else(|e| e.into_inner());
+        *guard
+    }
+}
+
+/// Finds, in an acceptor→dialler stream, where the first frame of at
+/// least `min_body` bytes begins.
+struct FrameWatch {
+    min_body: usize,
+    frames: FrameWalker,
+}
+
+impl FrameWatch {
+    fn new(min_body: usize) -> FrameWatch {
+        FrameWatch {
+            min_body,
+            frames: FrameWalker::new(),
+        }
+    }
+
+    /// Scans `chunk`; returns the index within it at which the length
+    /// prefix of the first frame of at least `min_body` bytes begins.
+    fn scan(&mut self, chunk: &[u8]) -> Option<usize> {
+        for (i, &byte) in chunk.iter().enumerate() {
+            if self
+                .frames
+                .step(byte)
+                .is_some_and(|len| len >= self.min_body)
+            {
+                // The prefix may have begun in an earlier chunk.
+                return Some((i + 1).saturating_sub(4));
+            }
+        }
+        None
+    }
+}
+
+/// Forwards `from` → `to` until the proxy trips, then drops everything
+/// `from` sends; `watch` (the upstream→dialler direction only) trips it.
+fn withhold_pump(mut from: TcpStream, mut to: TcpStream, watch: Option<usize>, trip: Arc<Trip>) {
+    std::thread::spawn(move || {
+        let mut watch = watch.map(FrameWatch::new);
+        let mut buf = [0u8; 4096];
+        loop {
+            let n = match from.read(&mut buf) {
+                Ok(0) | Err(_) => {
+                    let _ = to.shutdown(std::net::Shutdown::Both);
+                    return;
+                }
+                Ok(n) => n,
+            };
+            let mut forward = if trip.is_set() { 0 } else { n };
+            if let Some(at) = watch.as_mut().and_then(|w| w.scan(&buf[..forward])) {
+                forward = at;
+                trip.set();
+            }
+            if to.write_all(&buf[..forward]).is_err() {
                 return;
             }
         }
@@ -257,7 +431,10 @@ mod tests {
 
     #[test]
     fn large_frame_rule_skips_small_control_frames() {
+        // A dialler's handshake: a hello announcing one party, then the
+        // resume count.
         let mut stream = vec![0u8; HANDSHAKE_BYTES];
+        stream[14] = 1;
         stream.extend_from_slice(&10u32.to_le_bytes());
         stream.extend_from_slice(&[0xAA; 10]);
         stream.extend_from_slice(&100u32.to_le_bytes());
@@ -284,5 +461,78 @@ mod tests {
             .collect();
         assert_eq!(diffs, vec![flip_at]);
         assert_eq!(tampered[flip_at], 0xBB ^ 0x20);
+    }
+
+    #[test]
+    fn withhold_watch_finds_the_first_large_frame_after_the_hello() {
+        // A hello announcing two parties, the resume count, a small frame,
+        // then a large one.
+        let mut stream = vec![0u8; 15];
+        stream[14] = 2;
+        stream.extend_from_slice(&[0xEE; 5 * 2 + 8]);
+        stream.extend_from_slice(&20u32.to_le_bytes());
+        stream.extend_from_slice(&[0xAA; 20]);
+        let large_at = stream.len();
+        stream.extend_from_slice(&600u32.to_le_bytes());
+        stream.extend_from_slice(&[0xBB; 600]);
+
+        for split in [1, 3, 7, 4096] {
+            let mut watch = FrameWatch::new(512);
+            let mut seen = 0;
+            let mut found = None;
+            for chunk in stream.chunks(split) {
+                if let Some(at) = watch.scan(chunk) {
+                    found = Some(seen + at);
+                    break;
+                }
+                seen += chunk.len();
+            }
+            // A prefix split across chunks resolves at the start of the
+            // chunk holding its last byte; never before the frame, never
+            // past its prefix.
+            let found = found.expect("the large frame is found");
+            assert!((large_at..large_at + 4).contains(&found), "split {split}");
+            if split == 4096 {
+                assert_eq!(found, large_at);
+            }
+        }
+    }
+
+    #[test]
+    fn withhold_proxy_forwards_until_the_first_large_frame_then_goes_silent() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy =
+            WithholdProxy::spawn_until_first_large_frame(upstream.local_addr().unwrap(), 64)
+                .unwrap();
+        let mut client = TcpStream::connect(proxy.addr()).unwrap();
+        let (mut server, _) = upstream.accept().unwrap();
+
+        // Hello with no parties, resume count, one small frame: forwarded.
+        let mut prelude = vec![0u8; 15 + 8];
+        prelude.extend_from_slice(&3u32.to_le_bytes());
+        prelude.extend_from_slice(b"abc");
+        server.write_all(&prelude).unwrap();
+        let mut got = vec![0u8; prelude.len()];
+        client.read_exact(&mut got).unwrap();
+        assert_eq!(got, prelude);
+        assert!(!proxy.wait_withholding(Duration::from_millis(10)));
+
+        // The first large frame trips the proxy and never arrives.
+        let mut large = 100u32.to_le_bytes().to_vec();
+        large.extend_from_slice(&[7; 100]);
+        server.write_all(&large).unwrap();
+        assert!(proxy.wait_withholding(Duration::from_secs(10)));
+        client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert!(client.read(&mut byte).is_err(), "a withheld byte arrived");
+
+        // The dialler's bytes are withheld too.
+        client.write_all(b"hello?").unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        assert!(server.read(&mut byte).is_err(), "a withheld byte arrived");
     }
 }
